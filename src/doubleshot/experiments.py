@@ -542,7 +542,11 @@ def reference_report(
     state_source: str = GROUND_STATE_SOURCE,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> dict:
-    """Exact quantities for calibration: mean, per-term probabilities, energy."""
+    """Exact quantities for calibration: mean, per-term probabilities, energy.
+
+    When *state_source* is the ground state, its exact mean is the ground
+    energy, so no second eigensolve runs.
+    """
     terms = []
     for index, term in enumerate(obs.terms):
         theta = exact_theta(state, term.string)
@@ -555,9 +559,14 @@ def reference_report(
                 "phi": theta * theta + (1.0 - theta) * (1.0 - theta),
             }
         )
+    mean = exact_mean(obs, state)
+    if state_source == GROUND_STATE_SOURCE:
+        energy = mean
+    else:
+        energy = ground_energy(obs, max_qubits)
     return {
-        "exact_mean": exact_mean(obs, state),
-        "ground_state_energy": ground_energy(obs, max_qubits),
+        "exact_mean": mean,
+        "ground_state_energy": energy,
         "identity_offset": obs.identity_offset,
         "num_terms": obs.num_terms,
         "state_source": state_source,

@@ -79,11 +79,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return parity % 2 == 0
 
 
-def double(a: PauliString) -> PauliString:
-    """The two-copy operator P (x) P, acting on 2q qubits."""
-    return PauliString(a.letters * 2)
-
-
 @dataclass(frozen=True)
 class PauliTerm:
     coefficient: float

@@ -12,9 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .pauli import Observable, PauliString, commutes, double
+from .pauli import Observable, PauliString, commutes
 
-# dense work caps: 2^10 amplitudes single-copy, 2^20 doubled
+# dense work cap: 2^10 amplitudes, and a 4^10-entry Bell table for two-copy shots
 DEFAULT_MAX_QUBITS = 10
 
 _NORM_TOL = 1e-10
@@ -74,33 +74,22 @@ def _check_cap(width: int, max_qubits: int):
         )
 
 
-# (width, x_mask, z_mask) -> (source indices, signs, phase)
-_apply_cache: dict = {}
-
-
-def _pauli_apply_data(width: int, x_mask: int, z_mask: int):
-    key = (width, x_mask, z_mask)
-    hit = _apply_cache.get(key)
-    if hit is not None:
-        return hit
-    dim = 1 << width
-    idx = np.arange(dim, dtype=np.int64)
-    src = idx ^ x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & z_mask) & 1)
-    n_y = (x_mask & z_mask).bit_count()
-    phase = 1j ** n_y
-    data = (src, signs, phase)
-    _apply_cache[key] = data
-    return data
-
-
-def apply_pauli(s: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Return P|v> without forming the dense matrix.
+def _pauli_action(s: PauliString):
+    """(source indices, signs, phase) with (P v)_b = phase * signs[b] * v[src[b]].
 
     Uses P = i^{n_Y} X^x Z^z: the Z part contributes (-1)^(b.z), the X part
     permutes basis states by XOR with the x mask.
     """
-    src, signs, phase = _pauli_apply_data(s.width, s.x_mask, s.z_mask)
+    idx = np.arange(1 << s.width, dtype=np.int64)
+    src = idx ^ s.x_mask
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & s.z_mask) & 1)
+    phase = 1j ** (s.x_mask & s.z_mask).bit_count()
+    return src, signs, phase
+
+
+def apply_pauli(s: PauliString, amplitudes: np.ndarray) -> np.ndarray:
+    """Return P|v> without forming the dense matrix."""
+    src, signs, phase = _pauli_action(s)
     return phase * signs * amplitudes[src]
 
 
@@ -113,34 +102,41 @@ def pauli_matrix(s: PauliString) -> np.ndarray:
 
 
 def observable_matrix(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+    """Dense H = sum_i c_i P_i + offset; each P_i fills one signed permutation."""
     _check_cap(obs.width, max_qubits)
     dim = 1 << obs.width
+    rows = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
     for t in obs.terms:
-        h += t.coefficient * pauli_matrix(t.string)
-    h += obs.identity_offset * np.eye(dim)
+        src, signs, phase = _pauli_action(t.string)
+        h[rows, src] += t.coefficient * phase * signs
+    h[rows, rows] += obs.identity_offset
     return h
 
 
-def ground_state(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Eigenvector of the smallest eigenvalue, with a fixed global phase.
+def _ground(obs: Observable, max_qubits: int) -> tuple[float, StateVector]:
+    """Lowest eigenvalue and its eigenvector, from one dense eigensolve.
 
     The phase convention makes the largest-magnitude amplitude real positive,
     so degenerate ground spaces still yield a deterministic (if basis-dependent)
     representative.
     """
     h = observable_matrix(obs, max_qubits)
-    _, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(h)
     v = vecs[:, 0]
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
     v = v * (pivot.conjugate() / abs(pivot))
-    return StateVector(v / np.linalg.norm(v), obs.width)
+    return float(vals[0]), StateVector(v / np.linalg.norm(v), obs.width)
+
+
+def ground_state(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+    """Eigenvector of the smallest eigenvalue, with a fixed global phase."""
+    return _ground(obs, max_qubits)[1]
 
 
 def ground_energy(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> float:
-    h = observable_matrix(obs, max_qubits)
-    return float(np.linalg.eigvalsh(h)[0])
+    return _ground(obs, max_qubits)[0]
 
 
 def expectation(state: StateVector, s: PauliString) -> float:
@@ -189,12 +185,16 @@ def exact_pair_thetas(
     return np.clip(out, 0.0, 1.0)
 
 
+def _draw_outcome(theta: float, rng: np.random.Generator) -> int:
+    """+1 with probability theta (clipped to [0, 1]), from one rng.random() draw."""
+    theta = min(1.0, max(0.0, theta))
+    return 1 if rng.random() < theta else -1
+
+
 def _measure_in_place(v: np.ndarray, s: PauliString, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Projectively measure s on v; returns (projected state, outcome)."""
     pv = apply_pauli(s, v)
-    theta = 0.5 * (1.0 + float(np.real(np.vdot(v, pv))))
-    theta = min(1.0, max(0.0, theta))
-    outcome = 1 if rng.random() < theta else -1
+    outcome = _draw_outcome(0.5 * (1.0 + float(np.real(np.vdot(v, pv)))), rng)
     v = 0.5 * (v + outcome * pv)
     nrm = np.linalg.norm(v)
     if nrm < _PROJECTION_NORM_TOL:
@@ -237,6 +237,28 @@ def sample_group_shot(
     return ShotOutcome(kind="group", values=values)
 
 
+def _bell_table(state: StateVector) -> np.ndarray:
+    """Bell-basis distribution of state (x) state over the 4^n Paulis X^x Z^z.
+
+    Entry [x, z] is p(x, z) = |psi^T X^x Z^z psi|^2 / 2^n.  Row x is the
+    Walsh-Hadamard transform over b of psi_b psi_{b^x}, so the table costs
+    O(4^n n) time and 4^n floats.
+    """
+    psi = state.amplitudes
+    dim = psi.size
+    idx = np.arange(dim)
+    f = psi[idx[:, None] ^ idx[None, :]] * psi[None, :]
+    h = 1
+    while h < dim:
+        pairs = f.reshape(dim, dim // (2 * h), 2, h)
+        low = pairs[:, :, 0, :].copy()
+        high = pairs[:, :, 1, :]
+        pairs[:, :, 0, :] += high
+        np.subtract(low, high, out=high)
+        h *= 2
+    return (f.real**2 + f.imag**2) / dim
+
+
 def sample_double_shot(
     state: StateVector,
     obs: Observable,
@@ -246,15 +268,37 @@ def sample_double_shot(
     """One shot of the doubled scheme: measure every P_i (x) P_i on state (x) state.
 
     The doubled operators commute pairwise regardless of the originals, so all
-    p terms are read out in a single two-copy shot.
+    p terms are read out in a single two-copy shot.  All of them are diagonal
+    in the Bell basis: Bell outcome sigma = X^x Z^z has probability
+    _bell_table(state)[x, z] and gives P_i (x) P_i the value
+    (-1)^(omega(P_i, sigma) + n_Y(P_i)), omega the symplectic product
+    (Montanaro, arXiv:1707.04012).  Terms are read in ascending index order,
+    one rng.random() each, from their law conditioned on the earlier outcomes;
+    this is the law, and the draw sequence, of projecting state (x) state onto
+    each outcome in turn, without the 2^(2n)-amplitude doubled state.
     """
-    _check_cap(2 * state.width, 2 * max_qubits)
+    _check_cap(state.width, max_qubits)
     if obs.width != state.width:
         raise InvalidInputError("observable width does not match the state")
-    v = np.kron(state.amplitudes, state.amplitudes)
+    n = state.width
+    probs = _bell_table(state).ravel()
+    # key (x << n) | z; omega(P, sigma) = |x_P & z| + |z_P & x| = |key & (z_P << n | x_P)|
+    keys = np.arange(probs.size, dtype=np.int64)
     values = {}
     for i, t in enumerate(obs.terms):
-        v, outcome = _measure_in_place(v, double(t.string), rng)
+        s = t.string
+        n_y = (s.x_mask & s.z_mask).bit_count()
+        plus = (np.bitwise_count(keys & ((s.z_mask << n) | s.x_mask)) & 1) == (n_y & 1)
+        total = probs.sum()
+        theta = probs.sum(where=plus) / total
+        outcome = _draw_outcome(theta, rng)
+        # the projection's norm test: its squared norm is the outcome's probability
+        if (theta if outcome == 1 else 1.0 - theta) < _PROJECTION_NORM_TOL**2:
+            raise NumericalError(
+                f"two-copy outcome {outcome:+d} of {s.letters} has no Bell support"
+            )
+        kept = plus if outcome == 1 else ~plus
+        keys, probs = keys[kept], probs[kept]
         values[i] = outcome
     return ShotOutcome(kind="double", values=values)
 

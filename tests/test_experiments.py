@@ -30,7 +30,7 @@ from doubleshot.experiments import (
 from doubleshot.ledger import EstimateReport
 from doubleshot.pauli import parse_observable
 from doubleshot.posterior import MomentConfig
-from doubleshot.simulator import exact_mean, ground_state
+from doubleshot.simulator import StateVector, exact_mean, ground_state
 
 
 def toy_spec(**overrides):
@@ -456,6 +456,27 @@ class TestReferenceReport:
             assert term["phi"] == pytest.approx(
                 theta * theta + (1 - theta) * (1 - theta), abs=1e-12
             )
+
+    def test_ground_state_source_runs_no_second_eigensolve(self, monkeypatch):
+        obs = resolve_observable("builtin:ising-1x2")
+        state = ground_state(obs)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("reference_report ran a second eigensolve")
+
+        monkeypatch.setattr("doubleshot.experiments.ground_energy", no_eigensolve)
+        report = reference_report(obs, state)
+        assert report["ground_state_energy"] == report["exact_mean"]
+        assert report["ground_state_energy"] == pytest.approx(
+            -1.7917658636527167, abs=1e-12
+        )
+
+    def test_state_file_source_reports_true_ground_energy(self):
+        obs = resolve_observable("builtin:toy-fig1")
+        state = StateVector([1.0, 0.0, 0.0, 0.0])
+        report = reference_report(obs, state, "state.txt")
+        assert report["exact_mean"] == pytest.approx(1.0, abs=1e-12)
+        assert report["ground_state_energy"] == pytest.approx(-3.0, abs=1e-9)
 
     def test_json_round_trip(self, tmp_path):
         obs = resolve_observable("builtin:toy-fig1")

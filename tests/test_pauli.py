@@ -14,7 +14,6 @@ from doubleshot.pauli import (
     PauliTerm,
     build_group_cover,
     commutes,
-    double,
     observable_from_pairs,
     parse_observable,
     serialize_observable,
@@ -100,19 +99,6 @@ class TestCommutes:
     def test_reflexive(self, letters):
         s = PauliString(letters)
         assert commutes(s, s) is True
-
-
-class TestDouble:
-    def test_examples(self):
-        assert double(PauliString("ZI")).letters == "ZIZI"
-        assert double(PauliString("X")).letters == "XX"
-        assert double(PauliString("II")).letters == "IIII"
-
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_doubled_strings_always_commute(self, width):
-        strings = [PauliString(s) for s in all_strings(width)]
-        for a, b in itertools.combinations(strings, 2):
-            assert commutes(double(a), double(b)) is True
 
 
 class TestParseObservable:

@@ -1,15 +1,19 @@
 """Dense statevector oracle: ground states, exact values, seeded sampling."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from doubleshot.errors import InvalidInputError, ResourceLimitError
-from doubleshot.pauli import PauliString, parse_observable
+from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
+from doubleshot.pauli import PauliString, commutes, parse_observable
 from doubleshot.posterior import phi_joint_of_theta_joint, phi_of_theta
 from doubleshot.simulator import (
     StateVector,
+    _bell_table,
     exact_mean,
     exact_pair_thetas,
     exact_theta,
@@ -18,6 +22,7 @@ from doubleshot.simulator import (
     ground_state,
     load_state_file,
     observable_matrix,
+    pauli_matrix,
     sample_double_shot,
     sample_group_shot,
 )
@@ -28,6 +33,43 @@ TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
 def theta_state(theta: float) -> StateVector:
     """Single-qubit state with exact_theta(. , Z) == theta."""
     return StateVector([math.sqrt(theta), math.sqrt(1.0 - theta)])
+
+
+def random_state(width: int, seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    return StateVector(v / np.linalg.norm(v))
+
+
+# Three qubits, complex state, several terms with Y letters.
+Y_TERMS_TEXT = "0.7 XYZ\n-0.4 YYI\n0.3 ZIY\n1.1 IXX\n-0.9 YZY\n0.5 ZZZ\n0.2 IIY"
+
+
+def dense_double_shot(state: StateVector, obs, rng) -> dict[int, int]:
+    """Reference two-copy shot: project state (x) state onto each P (x) P in turn.
+
+    The doubled operators pairwise commute, so projecting them one at a time in
+    index order gives their joint law; one rng.random() is drawn per term.
+    """
+    v = np.kron(state.amplitudes, state.amplitudes)
+    values = {}
+    for i, t in enumerate(obs.terms):
+        pv = pauli_matrix(PauliString(t.string.letters * 2)) @ v
+        theta = min(1.0, max(0.0, 0.5 * (1.0 + float(np.vdot(v, pv).real))))
+        outcome = 1 if rng.random() < theta else -1
+        v = 0.5 * (v + outcome * pv)
+        v = v / np.linalg.norm(v)
+        values[i] = outcome
+    return values
+
+
+def kron_observable_matrix(obs) -> np.ndarray:
+    """Reference H: the dense kron sum of the terms plus the offset."""
+    dim = 1 << obs.width
+    h = np.zeros((dim, dim), dtype=complex)
+    for t in obs.terms:
+        h += t.coefficient * pauli_matrix(t.string)
+    return h + obs.identity_offset * np.eye(dim)
 
 
 class TestStateVector:
@@ -80,6 +122,27 @@ class TestGroundState:
         wide = parse_observable("1.0 " + "Z" * 11)
         with pytest.raises(ResourceLimitError):
             observable_matrix(wide)
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            load_builtin("toy-fig1"),
+            load_builtin("ising-2x3"),
+            build_ising(random_ising_spec(2, 3, np.random.default_rng(11))),
+            parse_observable("0.25 III\n" + Y_TERMS_TEXT),
+        ],
+        ids=["toy-fig1", "ising-2x3", "random-2x3", "y-terms"],
+    )
+    def test_matrix_equals_kron_sum(self, obs):
+        assert np.array_equal(observable_matrix(obs), kron_observable_matrix(obs))
+
+    def test_energy_is_lowest_eigenvalue_of_state(self):
+        obs = load_builtin("ising-1x2")
+        state = ground_state(obs)
+        assert ground_energy(obs) == pytest.approx(exact_mean(obs, state), abs=1e-12)
+        assert ground_energy(obs) == pytest.approx(
+            np.linalg.eigvalsh(kron_observable_matrix(obs))[0], abs=1e-12
+        )
 
 
 class TestExactValues:
@@ -222,14 +285,74 @@ class TestDoubleShot:
             sigma = math.sqrt(max(phi4[k] * (1 - phi4[k]), 1e-12) / n)
             assert abs(counts[k] / n - phi4[k]) < 3 * sigma + 1e-9
 
-    def test_cap_applies_to_doubled_width(self):
+    def test_cap_applies_to_single_copy_width(self):
         wide = parse_observable("1.0 " + "Z" * 6)
         state = ground_state(wide)
-        # 2q = 12 > 10 single-copy cap is fine; the doubled cap is 2*max_qubits
+        # the cap counts one copy's qubits: 6 <= 10 runs, 6 > 5 is refused
         outcome = sample_double_shot(state, wide, np.random.default_rng(0))
         assert outcome.values[0] in (-1, 1)
         with pytest.raises(ResourceLimitError):
             sample_double_shot(state, wide, np.random.default_rng(0), max_qubits=5)
+
+
+class TestDoubleShotOracle:
+    """The Bell-table sampler against projection of the doubled state."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_doubled_strings_always_commute(self, width):
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=width)]
+        for a, b in itertools.combinations(strings, 2):
+            assert commutes(PauliString(a * 2), PauliString(b * 2)) is True
+
+    @pytest.mark.parametrize(
+        "obs, state",
+        [
+            (load_builtin("toy-fig1"), ground_state(load_builtin("toy-fig1"))),
+            (load_builtin("ising-1x2"), ground_state(load_builtin("ising-1x2"))),
+            (parse_observable(Y_TERMS_TEXT), random_state(3, 17)),
+        ],
+        ids=["toy-fig1", "ising-1x2", "random-3q-y-terms"],
+    )
+    def test_same_outcomes_and_stream_as_dense_oracle(self, obs, state):
+        rng_bell = np.random.default_rng(2024)
+        rng_dense = np.random.default_rng(2024)
+        for _ in range(250):
+            values = sample_double_shot(state, obs, rng_bell).values
+            assert values == dense_double_shot(state, obs, rng_dense)
+        assert rng_bell.random() == rng_dense.random()
+
+    @pytest.mark.parametrize("name", ["ising-1x2", "ising-2x3"])
+    def test_bell_table_marginals_are_squared_expectations(self, name):
+        obs = load_builtin(name)
+        state = ground_state(obs)
+        n = obs.width
+        table = _bell_table(state)
+        assert table.shape == (1 << n, 1 << n)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        x = np.arange(1 << n)[:, None]
+        z = np.arange(1 << n)[None, :]
+        for t in obs.terms:
+            s = t.string
+            omega = np.bitwise_count(s.x_mask & z) + np.bitwise_count(s.z_mask & x)
+            n_y = (s.x_mask & s.z_mask).bit_count()
+            sign = 1.0 - 2.0 * ((omega + n_y) & 1)
+            assert float((sign * table).sum()) == pytest.approx(
+                expectation(state, s) ** 2, abs=1e-12
+            )
+
+    def test_ten_qubit_shot_memory(self):
+        letters = np.random.default_rng(3).choice(list("IXYZ"), size=(40, 10))
+        text = "\n".join(f"1.0 {''.join(row)}" for row in letters)
+        obs = parse_observable(text)
+        state = random_state(10, 5)
+        tracemalloc.start()
+        try:
+            outcome = sample_double_shot(state, obs, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(outcome.values) == list(range(obs.num_terms))
+        assert peak < 200e6
 
 
 class TestReproducibility:
