@@ -9,12 +9,15 @@ cost).  The action whose hypothetical ledger predicts the smallest estimate
 variance is executed for real, and the loop repeats until the effective
 budget (group shots count 1, double shots 2) cannot fund any action.
 
-The run loop evaluates candidates incrementally: contributions of tallies a
-candidate does not touch are reused, and all touched tallies across all
-candidates are pushed through the moment engine in one batch.  The decisions
-are bit-identical to rebuilding each hypothetical ledger and calling
-estimate() on it, which is what virtual_update/choose_action do and what the
-tests cross-check.
+The run loop keeps, for every term and pair, the variance contribution of
+its real row and of each virtual row a candidate can give it, and after an
+executed action evaluates again only the rows that action changed: a group
+shot's members and the pairs touching them, or every row after a double
+shot.  A candidate's prediction is the real contributions with its virtual
+ones in their place.  The moment engine gives a row the same bits in any
+batch, so the predictions are bit-identical to rebuilding each hypothetical
+ledger and calling estimate() on it, which is what virtual_update and
+choose_action do and what the tests cross-check.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _bell_table,
     sample_double_shot,
     sample_group_shot,
 )
@@ -99,7 +103,11 @@ class AllocationResult:
 
 
 class _GroupIndex:
-    """Static index of which tallies one group's virtual shot touches."""
+    """Static index of which tallies one group's virtual shot touches.
+
+    Pairs with both terms in the group are `both`; pairs with only the lower
+    or only the higher term in it are `iside` and `jside`.
+    """
 
     def __init__(self, ledger: TallyLedger, members):
         self.members = np.asarray(sorted(members), dtype=np.intp)
@@ -118,48 +126,84 @@ class _GroupIndex:
                     k_i.append(k)
                 else:
                     k_j.append(k)
-        self.touched = np.asarray(k_both + k_i + k_j, dtype=np.intp)
-        self.n_both = len(k_both)
-        self.n_iside = len(k_i)
-        self.iside_terms = np.asarray(
-            [ledger.pair_keys[k][0] for k in k_i], dtype=np.intp
-        )
-        self.jside_terms = np.asarray(
-            [ledger.pair_keys[k][1] for k in k_j], dtype=np.intp
-        )
+        self.both = np.asarray(k_both, dtype=np.intp)
+        self.iside = np.asarray(k_i, dtype=np.intp)
+        self.jside = np.asarray(k_j, dtype=np.intp)
+        self.touched = np.concatenate([self.both, self.iside, self.jside])
 
     def virtual_rows(self, ledger: TallyLedger, smom, pmom):
         """Hypothetical single and pair rows after one shot of this group."""
-        theta = smom[:, 0]
-        vs = ledger.singles[self.members].copy()
-        th = theta[self.members]
-        vs[:, 0] += th
-        vs[:, 1] += 1.0 - th
-        vp = ledger.pairs[self.touched].copy()
-        nb, ni = self.n_both, self.n_iside
-        if nb:
-            vp[:nb, 0:4] += pmom[self.touched[:nb], 0:4]
-        if ni:
-            ti = theta[self.iside_terms]
-            vp[nb : nb + ni, 8] += ti
-            vp[nb : nb + ni, 9] += 1.0 - ti
-        if self.jside_terms.size:
-            tj = theta[self.jside_terms]
-            vp[nb + ni :, 10] += tj
-            vp[nb + ni :, 11] += 1.0 - tj
+        vs = _group_single_rows(ledger, smom, self.members)
+        vp = np.concatenate([
+            _both_pair_rows(ledger, pmom, self.both),
+            _iside_pair_rows(ledger, smom, self.iside),
+            _jside_pair_rows(ledger, smom, self.jside),
+        ])
         return vs, vp
+
+
+# Virtual rows, one function per way an action can change a row.  Each takes
+# the real ledger and moments and the indices of the rows it builds, so the
+# reference path and the fast loop build the same rows with the same
+# arithmetic.
+
+
+def _group_single_rows(ledger: TallyLedger, smom, terms):
+    """Term rows after one expectation-valued single-scheme shot."""
+    vs = ledger.singles[terms].copy()
+    th = smom[terms, 0]
+    vs[:, 0] += th
+    vs[:, 1] += 1.0 - th
+    return vs
+
+
+def _double_single_rows(ledger: TallyLedger, smom, terms):
+    """Term rows after half an expectation-valued double shot."""
+    vs = ledger.singles[terms].copy()
+    phi = smom[terms, 2]
+    vs[:, 2] += 0.5 * phi
+    vs[:, 3] += 0.5 * (1.0 - phi)
+    return vs
+
+
+def _both_pair_rows(ledger: TallyLedger, pmom, ks):
+    """Pair rows after a group shot holding both terms: joint cells split."""
+    vp = ledger.pairs[ks].copy()
+    vp[:, 0:4] += pmom[ks, 0:4]
+    return vp
+
+
+def _iside_pair_rows(ledger: TallyLedger, smom, ks):
+    """Pair rows after a group shot holding only the lower-index term."""
+    vp = ledger.pairs[ks].copy()
+    ti = smom[ledger.pair_i[ks], 0]
+    vp[:, 8] += ti
+    vp[:, 9] += 1.0 - ti
+    return vp
+
+
+def _jside_pair_rows(ledger: TallyLedger, smom, ks):
+    """Pair rows after a group shot holding only the higher-index term."""
+    vp = ledger.pairs[ks].copy()
+    tj = smom[ledger.pair_j[ks], 0]
+    vp[:, 10] += tj
+    vp[:, 11] += 1.0 - tj
+    return vp
+
+
+def _double_pair_rows(ledger: TallyLedger, pmom, ks):
+    """Pair rows after half an expectation-valued double shot."""
+    vp = ledger.pairs[ks].copy()
+    vp[:, 4:8] += 0.5 * pmom[ks, 4:8]
+    return vp
 
 
 def _double_virtual_rows(ledger: TallyLedger, smom, pmom):
     """Hypothetical rows after half an expectation-valued double shot."""
-    phi = smom[:, 2]
-    vs = ledger.singles.copy()
-    vs[:, 2] += 0.5 * phi
-    vs[:, 3] += 0.5 * (1.0 - phi)
-    vp = ledger.pairs.copy()
-    if ledger.num_pairs:
-        vp[:, 4:8] += 0.5 * pmom[:, 4:8]
-    return vs, vp
+    return (
+        _double_single_rows(ledger, smom, np.arange(ledger.num_terms)),
+        _double_pair_rows(ledger, pmom, np.arange(ledger.num_pairs)),
+    )
 
 
 def _full_moments(ledger: TallyLedger, engine: MomentEngine):
@@ -242,87 +286,126 @@ def choose_action(
 
 
 class _FastLoop:
-    """Incremental candidate evaluation sharing one moment engine."""
+    """Candidate evaluation that re-evaluates only the rows an action changed.
 
-    def __init__(self, obs: Observable, cover: GroupCover, engine: MomentEngine):
-        self.obs = obs
-        self.cover = cover
+    Every term keeps three variance contributions: from its real row, from
+    its row after a virtual group shot, and from its row after a virtual
+    double shot.  Every pair keeps five: real, after a group shot holding
+    both terms, only term i, only term j, and after a double shot.  A group's
+    virtual rows depend only on the row and on which of its terms the group
+    holds, not on the group, so these tables serve every candidate.  A real
+    group shot changes its members' rows and every pair row touching them;
+    a real double shot changes every row.  After an action only those rows'
+    moments and contributions are evaluated again.  Double-shot variants are
+    kept only when double shots are enabled.
+    """
+
+    def __init__(
+        self,
+        obs: Observable,
+        cover: GroupCover,
+        engine: MomentEngine,
+        enable_double: bool,
+    ):
         self.engine = engine
+        self.enable_double = enable_double
         self.coeff = obs.coefficients()
-        self.ledger = TallyLedger(obs)
-        self.groups = [
-            _GroupIndex(self.ledger, g) for g in cover.groups
-        ]
-        self.smom = None
-        self.pmom = None
-        self.term_contrib = None
-        self.pair_contrib = None
+        self.ledger = led = TallyLedger(obs)
+        self.groups = [_GroupIndex(led, g) for g in cover.groups]
+        p, q = led.num_terms, led.num_pairs
+        self.smom = np.zeros((p, 3))
+        self.pmom = np.zeros((q, 11))
+        self.term = {v: np.zeros(p) for v in ("real", "group", "double")}
+        self.pair = {
+            v: np.zeros(q) for v in ("real", "both", "iside", "jside", "double")
+        }
+        # pair variants some group can produce; the others are never read
+        self.needed = {v: np.zeros(q, dtype=bool) for v in ("both", "iside", "jside")}
+        for gi in self.groups:
+            for v in self.needed:
+                self.needed[v][getattr(gi, v)] = True
         self.variance = None
+        self._update(np.arange(p), np.arange(q))
 
-    def refresh(self):
-        """Recompute base moments and contributions for the real ledger."""
-        led = self.ledger
-        self.smom, self.pmom = _full_moments(led, self.engine)
-        self.term_contrib = term_contributions(self.coeff, self.smom)
-        joint_rows = np.flatnonzero(joint_mask(led.pairs))
-        self.pair_contrib = pair_contributions(
-            self.coeff, led.pair_i, led.pair_j, led.num_pairs,
-            joint_rows, self.pmom[joint_rows],
+    def record(self, outcome, action: MeasurementAction) -> None:
+        """Fold a real shot into the ledger and re-evaluate what it changed."""
+        self.ledger.record(outcome)
+        if action.kind == "group":
+            gi = self.groups[action.group]
+            self._update(gi.members, gi.touched)
+        else:
+            self._update(
+                np.arange(self.ledger.num_terms), np.arange(self.ledger.num_pairs)
+            )
+
+    def _update(self, terms: np.ndarray, ks: np.ndarray) -> None:
+        """Re-evaluate term rows `terms`, pair rows `ks` and their variants."""
+        led, engine, coeff = self.ledger, self.engine, self.coeff
+        self.smom[terms] = engine.single_block(led.singles[terms])
+        self.pmom[ks] = engine.pair_block(led.pairs[ks])
+        self.term["real"][terms] = term_contributions(coeff[terms], self.smom[terms])
+        joint = joint_mask(led.pairs[ks])
+        self.pair["real"][ks] = self._pair_contributions(
+            ks, joint, self.pmom[ks[joint]]
         )
+
+        term_rows = {"group": _group_single_rows(led, self.smom, terms)}
+        pair_ks = {v: ks[self.needed[v][ks]] for v in self.needed}
+        pair_rows = {
+            "both": _both_pair_rows(led, self.pmom, pair_ks["both"]),
+            "iside": _iside_pair_rows(led, self.smom, pair_ks["iside"]),
+            "jside": _jside_pair_rows(led, self.smom, pair_ks["jside"]),
+        }
+        if self.enable_double:
+            term_rows["double"] = _double_single_rows(led, self.smom, terms)
+            pair_ks["double"] = ks
+            pair_rows["double"] = _double_pair_rows(led, self.pmom, ks)
+
+        # one engine call per kind; of the pair rows only the jointly
+        # measured go in, since the others contribute exactly zero
+        ms = engine.single_block(np.concatenate(list(term_rows.values())))
+        for pos, v in enumerate(term_rows):
+            rows = ms[pos * terms.size : (pos + 1) * terms.size]
+            self.term[v][terms] = term_contributions(coeff[terms], rows)
+        joint = {v: joint_mask(rows) for v, rows in pair_rows.items()}
+        mp = engine.pair_block(
+            np.concatenate([rows[joint[v]] for v, rows in pair_rows.items()])
+        )
+        at = 0
+        for v in pair_rows:
+            n = int(np.count_nonzero(joint[v]))
+            self.pair[v][pair_ks[v]] = self._pair_contributions(
+                pair_ks[v], joint[v], mp[at : at + n]
+            )
+            at += n
+
         self.variance = clamped_variance(
-            float(np.sum(self.term_contrib) + np.sum(self.pair_contrib))
+            float(np.sum(self.term["real"]) + np.sum(self.pair["real"]))
+        )
+
+    def _pair_contributions(self, ks, joint, mom):
+        """Contributions of pair rows `ks`; mom holds the rows ks[joint]."""
+        led = self.ledger
+        return pair_contributions(
+            self.coeff, led.pair_i[ks], led.pair_j[ks], ks.size,
+            np.flatnonzero(joint), mom,
         )
 
     def predict(self, actions: list[MeasurementAction]) -> list[float]:
-        """Predicted variance per candidate, batched through the engine."""
-        led = self.ledger
-        chunks_s, chunks_p, meta = [], [], []
+        """Predicted variance per candidate, assembled from the tables."""
+        out = []
         for action in actions:
             if action.kind == "group":
                 gi = self.groups[action.group]
-                vs, vp = gi.virtual_rows(led, self.smom, self.pmom)
-                meta.append((gi.members, gi.touched))
+                tc = self.term["real"].copy()
+                tc[gi.members] = self.term["group"][gi.members]
+                pc = self.pair["real"].copy()
+                for v in ("both", "iside", "jside"):
+                    ks = getattr(gi, v)
+                    pc[ks] = self.pair[v][ks]
             else:
-                vs, vp = _double_virtual_rows(led, self.smom, self.pmom)
-                meta.append(
-                    (np.arange(led.num_terms), np.arange(led.num_pairs))
-                )
-            chunks_s.append(vs)
-            chunks_p.append(vp)
-        all_s = np.vstack(chunks_s)
-        all_p = (
-            np.vstack(chunks_p)
-            if any(c.shape[0] for c in chunks_p)
-            else np.zeros((0, 12))
-        )
-        ms = self.engine.single_block(all_s)
-        mp = self.engine.pair_block(all_p) if all_p.shape[0] else np.zeros((0, 11))
-
-        out = []
-        s_at, p_at = 0, 0
-        for (members, touched), vs, vp in zip(meta, chunks_s, chunks_p):
-            ns, npair = vs.shape[0], vp.shape[0]
-            ms_rows = ms[s_at : s_at + ns]
-            mp_rows = mp[p_at : p_at + npair]
-            s_at += ns
-            p_at += npair
-            tc = self.term_contrib.copy()
-            tc[members] = term_contributions(self.coeff[members], ms_rows)
-            pc = self.pair_contrib.copy()
-            if npair:
-                sub_joint = np.flatnonzero(joint_mask(vp))
-                sub = pair_contributions(
-                    self.coeff,
-                    led.pair_i[touched],
-                    led.pair_j[touched],
-                    npair,
-                    sub_joint,
-                    mp_rows[sub_joint],
-                )
-                pc[touched] = sub
-            out.append(
-                clamped_variance(float(np.sum(tc) + np.sum(pc)))
-            )
+                tc, pc = self.term["double"], self.pair["double"]
+            out.append(clamped_variance(float(np.sum(tc) + np.sum(pc))))
         return out
 
 
@@ -342,12 +425,14 @@ def run_allocation(
     if engine is None:
         engine = MomentEngine(config.moments)
     rng = np.random.default_rng(config.seed)
-    loop = _FastLoop(obs, cover, engine)
-    ledger = loop.ledger
     trace: list[TraceRow] = []
+    # the state is fixed for the run, so its Bell table is built once, at
+    # the first two-copy shot
+    bell = None
 
     try:
-        loop.refresh()
+        loop = _FastLoop(obs, cover, engine, config.enable_double)
+        ledger = loop.ledger
         step = 0
         while cover.num_groups > 0:
             remaining = config.budget - ledger.effective_shots
@@ -362,11 +447,12 @@ def run_allocation(
                     state, obs, cover.groups[action.group], rng
                 )
             else:
+                if bell is None:
+                    bell = _bell_table(state, config.max_qubits)
                 outcome = sample_double_shot(
-                    state, obs, rng, max_qubits=config.max_qubits
+                    state, obs, rng, max_qubits=config.max_qubits, bell=bell
                 )
-            ledger.record(outcome)
-            loop.refresh()
+            loop.record(outcome, action)
             step += 1
             trace.append(
                 TraceRow(

@@ -147,9 +147,9 @@ def run_repetitions(
 ) -> list[AllocationResult]:
     """Run seeded repetitions sequentially, ordered by repetition index.
 
-    A shared moment engine (caches keyed by tally values only) makes
-    repetitions after the first substantially cheaper without affecting
-    any result.
+    Repetition r is run_allocation seeded rep_seed(base_seed, r): the engine
+    holds no state, so it gives the same bits alone as here, and memory
+    does not grow with the number of repetitions.
     """
     if engine is None:
         engine = MomentEngine(moments)

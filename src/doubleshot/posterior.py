@@ -18,7 +18,8 @@ grid on the simplex) and a Metropolis random walk in additive-logistic
 coordinates.  When a pair has no joint counts at all, its posterior
 factorizes into the two 1-D posteriors and the moments are assembled as exact
 products; this is what makes never-measured-together pairs contribute exactly
-zero covariance.
+zero covariance.  The quadrature reads rows in fixed-shape chunks, so a row's
+moments are the same bits in whatever batch the row is evaluated.
 """
 from __future__ import annotations
 
@@ -32,7 +33,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 
-_PAIR_BATCH_COLUMNS = 256
+# Rows per quadrature chunk.  A multiple of the row tiles of the BLAS matrix
+# kernels, so that no row of a chunk falls in an edge tile summed in another
+# order than the rest.
+_CHUNK_ROWS = 64
 
 
 def _check_counts(values, what: str):
@@ -196,6 +200,36 @@ def phi_joint_of_theta_joint(theta_joint):
 # quadrature grids
 
 
+def _chunked_means(
+    counts: np.ndarray, logs_t: np.ndarray, weighted: np.ndarray, what: str
+) -> np.ndarray:
+    """Posterior means by quadrature, one row of counts per posterior.
+
+    logs_t (C, N) holds the log of each of the C likelihood factors at each of
+    the N nodes; weighted (N, 1 + F) holds each node's weight followed by the
+    weight times each of the F integrands.  Rows are read in zero-padded
+    chunks of _CHUNK_ROWS, so every matrix product has one shape whatever the
+    batch, and a row's moments depend on its own counts only: they are bit
+    for bit the same in any batch, at any size or position.
+    """
+    n = counts.shape[0]
+    out = np.empty((n, weighted.shape[1] - 1))
+    chunk = np.zeros((_CHUNK_ROWS, counts.shape[1]))
+    for lo in range(0, n, _CHUNK_ROWS):
+        m = min(_CHUNK_ROWS, n - lo)
+        chunk[:m] = counts[lo : lo + m]
+        chunk[m:] = 0.0
+        loglike = chunk @ logs_t
+        loglike -= loglike.max(axis=1, keepdims=True)
+        np.exp(loglike, out=loglike)
+        sums = (loglike @ weighted)[:m]
+        den = sums[:, :1]
+        if not np.all(np.isfinite(den)) or np.any(den <= 0):
+            raise NumericalError(f"{what} posterior normalization failed")
+        out[lo : lo + m] = sums[:, 1:] / den
+    return out
+
+
 class _SingleGrid:
     """Gauss-Legendre nodes on [0,1] with per-node log factors pre-tabulated."""
 
@@ -207,23 +241,14 @@ class _SingleGrid:
         omt = 0.5 * (1.0 - x)
         phi = t * t + omt * omt
         one_minus_phi = 2.0 * t * omt
-        self.weights = 0.5 * w
-        self.logs = np.stack(
-            [np.log(t), np.log(omt), np.log(phi), np.log(one_minus_phi)], axis=1
-        )
-        self.g = np.stack([t, t * t, phi], axis=1)
-        self.gw = self.g * self.weights[:, None]
+        weights = 0.5 * w
+        self.logs_t = np.log(np.stack([t, omt, phi, one_minus_phi]))
+        self.weighted = np.stack([weights, t, t * t, phi], axis=1)
+        self.weighted[:, 1:] *= weights[:, None]
 
     def moments(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,4) -> moments (K,3) = E[theta], E[theta^2], E[phi]."""
-        loglike = self.logs @ counts.T
-        loglike -= loglike.max(axis=0, keepdims=True)
-        np.exp(loglike, out=loglike)
-        den = self.weights @ loglike
-        if not np.all(np.isfinite(den)) or np.any(den <= 0):
-            raise NumericalError("single-term posterior normalization failed")
-        out = (self.gw.T @ loglike) / den
-        return out.T
+        return _chunked_means(counts, self.logs_t, self.weighted, "single-term")
 
 
 class _PairGrid:
@@ -243,25 +268,18 @@ class _PairGrid:
         phi2 = 2.0 * (t0 * t2 + t1 * t3)
         phi3 = 2.0 * (t0 * t3 + t1 * t2)
         cols = [t0, t1, t2, t3, phi0, phi1, phi2, phi3, ti, omi, tj, omj]
-        self.logs = np.log(np.stack(cols, axis=1))
-        self.g = np.stack(
-            [t0, t1, t2, t3, phi0, phi1, phi2, phi3, ti * tj, ti, tj], axis=1
+        self.logs_t = np.log(np.stack(cols))
+        # cells have equal weight
+        self.weighted = np.stack(
+            [np.ones_like(t0), t0, t1, t2, t3, phi0, phi1, phi2, phi3,
+             ti * tj, ti, tj],
+            axis=1,
         )
         self.npoints = t0.size
 
     def moments(self, counts: np.ndarray) -> np.ndarray:
-        """counts (K,12) -> moments (K,11); cells have equal weight."""
-        out = np.empty((counts.shape[0], 11))
-        for lo in range(0, counts.shape[0], _PAIR_BATCH_COLUMNS):
-            block = counts[lo : lo + _PAIR_BATCH_COLUMNS]
-            loglike = self.logs @ block.T
-            loglike -= loglike.max(axis=0, keepdims=True)
-            np.exp(loglike, out=loglike)
-            den = loglike.sum(axis=0)
-            if not np.all(np.isfinite(den)) or np.any(den <= 0):
-                raise NumericalError("pair posterior normalization failed")
-            out[lo : lo + block.shape[0]] = ((self.g.T @ loglike) / den).T
-        return out
+        """counts (K,12) -> moments (K,11)."""
+        return _chunked_means(counts, self.logs_t, self.weighted, "pair")
 
 
 @lru_cache(maxsize=8)
@@ -365,7 +383,11 @@ def mcmc_sample(
 
 
 def _tally_rng(config: MomentConfig, counts: np.ndarray) -> np.random.Generator:
-    """Deterministic per-tally generator so cached results are reproducible."""
+    """Generator seeded by the tally's counts.
+
+    A row's MCMC moments then depend on that row alone, as its quadrature
+    moments do.
+    """
     digest = zlib.crc32(counts.tobytes())
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((config.mcmc_seed, digest)))
@@ -461,21 +483,20 @@ def _mcmc_with_fallback(kind: str, counts: np.ndarray, config: MomentConfig):
 
 
 # ---------------------------------------------------------------------------
-# the cached engine
+# the engine
 
 
 class MomentEngine:
-    """Caches moment evaluations keyed by exact tally bytes.
+    """Evaluates posterior moment rows for one moment configuration.
 
-    Virtual-measurement search re-evaluates mostly unchanged tallies, so a
-    value-keyed cache makes repeat lookups free without any invalidation
-    logic.  One engine should not be shared between threads.
+    It holds nothing but its configuration.  Each row's moments are a pure
+    function of that row's counts, bit for bit, whatever batch it arrives
+    in, so callers may split, merge and reorder their batches freely and
+    reuse the rows that did not change (see allocator._FastLoop).
     """
 
     def __init__(self, config: MomentConfig = DEFAULT_CONFIG):
         self.config = config
-        self._single: dict[bytes, np.ndarray] = {}
-        self._pair: dict[bytes, np.ndarray] = {}
 
     # -- array paths ------------------------------------------------------
 
@@ -484,26 +505,17 @@ class MomentEngine:
         counts = np.ascontiguousarray(counts, dtype=float)
         if counts.shape[0] == 0:
             return np.zeros((0, 3))
-        rows = [counts[k].tobytes() for k in range(counts.shape[0])]
-        missing = [k for k, key in enumerate(rows) if key not in self._single]
-        if missing:
-            sub = counts[missing]
-            if self.config.backend == "quadrature":
-                computed = _single_grid(self.config.single_nodes).moments(sub)
-            else:
-                computed = np.stack(
-                    [
-                        _mcmc_with_fallback("single", row, self.config)
-                        for row in sub
-                    ]
-                )
-            # exact symmetry: with no sign information the posterior is even
-            # about 1/2, so the mean is 1/2 identically
-            symmetric = (sub[:, 0] == 0.0) & (sub[:, 1] == 0.0)
-            computed[symmetric, 0] = 0.5
-            for pos, k in enumerate(missing):
-                self._single[rows[k]] = computed[pos]
-        return np.stack([self._single[key] for key in rows])
+        if self.config.backend == "quadrature":
+            out = _single_grid(self.config.single_nodes).moments(counts)
+        else:
+            out = np.stack(
+                [_mcmc_with_fallback("single", row, self.config) for row in counts]
+            )
+        # exact symmetry: with no sign information the posterior is even
+        # about 1/2, so the mean is 1/2 identically
+        symmetric = (counts[:, 0] == 0.0) & (counts[:, 1] == 0.0)
+        out[symmetric, 0] = 0.5
+        return out
 
     def pair_block(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,12) -> (K,11) moment rows.
@@ -513,32 +525,22 @@ class MomentEngine:
         theta_i, theta_j.
         """
         counts = np.ascontiguousarray(counts, dtype=float)
-        if counts.shape[0] == 0:
-            return np.zeros((0, 11))
-        rows = [counts[k].tobytes() for k in range(counts.shape[0])]
-        missing = [k for k, key in enumerate(rows) if key not in self._pair]
-        if missing:
-            sub = counts[missing]
-            factorized = np.all(sub[:, :8] == 0.0, axis=1)
-            computed = np.empty((sub.shape[0], 11))
-            full = ~factorized
-            if np.any(full):
-                if self.config.backend == "quadrature":
-                    computed[full] = _pair_grid(self.config.pair_cells).moments(
-                        sub[full]
-                    )
-                else:
-                    computed[full] = np.stack(
-                        [
-                            _mcmc_with_fallback("pair", row, self.config)
-                            for row in sub[full]
-                        ]
-                    )
-            if np.any(factorized):
-                computed[factorized] = self._factorized_rows(sub[factorized])
-            for pos, k in enumerate(missing):
-                self._pair[rows[k]] = computed[pos]
-        return np.stack([self._pair[key] for key in rows])
+        out = np.empty((counts.shape[0], 11))
+        factorized = np.all(counts[:, :8] == 0.0, axis=1)
+        full = ~factorized
+        if np.any(full):
+            if self.config.backend == "quadrature":
+                out[full] = _pair_grid(self.config.pair_cells).moments(counts[full])
+            else:
+                out[full] = np.stack(
+                    [
+                        _mcmc_with_fallback("pair", row, self.config)
+                        for row in counts[full]
+                    ]
+                )
+        if np.any(factorized):
+            out[factorized] = self._factorized_rows(counts[factorized])
+        return out
 
     def _factorized_rows(self, sub: np.ndarray) -> np.ndarray:
         """Pairs never measured together: exact products of 1-D moments."""

@@ -237,13 +237,14 @@ def sample_group_shot(
     return ShotOutcome(kind="group", values=values)
 
 
-def _bell_table(state: StateVector) -> np.ndarray:
+def _bell_table(state: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Bell-basis distribution of state (x) state over the 4^n Paulis X^x Z^z.
 
     Entry [x, z] is p(x, z) = |psi^T X^x Z^z psi|^2 / 2^n.  Row x is the
     Walsh-Hadamard transform over b of psi_b psi_{b^x}, so the table costs
     O(4^n n) time and 4^n floats.
     """
+    _check_cap(state.width, max_qubits)
     psi = state.amplitudes
     dim = psi.size
     idx = np.arange(dim)
@@ -264,6 +265,7 @@ def sample_double_shot(
     obs: Observable,
     rng: np.random.Generator,
     max_qubits: int = DEFAULT_MAX_QUBITS,
+    bell: np.ndarray | None = None,
 ) -> ShotOutcome:
     """One shot of the doubled scheme: measure every P_i (x) P_i on state (x) state.
 
@@ -276,12 +278,22 @@ def sample_double_shot(
     one rng.random() each, from their law conditioned on the earlier outcomes;
     this is the law, and the draw sequence, of projecting state (x) state onto
     each outcome in turn, without the 2^(2n)-amplitude doubled state.
+
+    bell is the state's table, _bell_table(state), for a caller that samples
+    many shots of one state; it is built here when not given.  The draws are
+    the same either way.
     """
     _check_cap(state.width, max_qubits)
     if obs.width != state.width:
         raise InvalidInputError("observable width does not match the state")
     n = state.width
-    probs = _bell_table(state).ravel()
+    if bell is None:
+        bell = _bell_table(state, max_qubits)
+    elif bell.shape != (1 << n, 1 << n):
+        raise InvalidInputError(
+            f"Bell table of shape {bell.shape} does not fit a {n}-qubit state"
+        )
+    probs = bell.ravel()
     # key (x << n) | z; omega(P, sigma) = |x_P & z| + |z_P & x| = |key & (z_P << n | x_P)|
     keys = np.arange(probs.size, dtype=np.int64)
     values = {}

@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 from doubleshot.allocator import (
     AllocationConfig,
     MeasurementAction,
+    _FastLoop,
     choose_action,
     run_allocation,
     virtual_update,
 )
 from doubleshot.errors import InvalidInputError, NumericalError
 from doubleshot.experiments import cover_for
+from doubleshot.hamiltonians import load_builtin
 from doubleshot.ledger import TallyLedger, estimate
 from doubleshot.pauli import build_group_cover, parse_observable
 from doubleshot.posterior import MomentEngine
-from doubleshot.simulator import ShotOutcome, ground_state, sample_group_shot
+from doubleshot.simulator import (
+    ShotOutcome,
+    ground_state,
+    sample_double_shot,
+    sample_group_shot,
+)
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
 
@@ -361,6 +368,66 @@ class TestRunAllocation:
         final = estimate(led, obs, engine)
         assert final.mean == pytest.approx(result.report.mean, rel=1e-12)
         assert final.variance == pytest.approx(result.report.variance, rel=1e-12)
+
+    def test_bell_table_built_once_per_run(self, monkeypatch):
+        import doubleshot.allocator as alloc_mod
+
+        obs = load_builtin("ising-1x2")
+        cover = cover_for(obs)
+        state = ground_state(obs)
+        config = AllocationConfig(budget=40, seed=1)
+        plain = run_allocation(obs, state, cover, config)
+        assert sum(row.kind == "double" for row in plain.trace) >= 2
+
+        built = []
+        real = alloc_mod._bell_table
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alloc_mod, "_bell_table", counting)
+        counted = run_allocation(obs, state, cover, config)
+        assert len(built) == 1
+        assert counted.trace == plain.trace
+        assert counted.report == plain.report
+
+        built.clear()
+        no_double = AllocationConfig(budget=40, seed=1, enable_double=False)
+        run_allocation(obs, state, cover, no_double)
+        assert built == []
+
+    def test_incremental_predictions_equal_reference_bits(self):
+        # After every kind of real action the fast loop's tables must give
+        # each candidate exactly the variance estimate() gives its
+        # hypothetical ledger, bit for bit.
+        obs = load_builtin("ising-2x2")
+        cover = cover_for(obs)
+        state = ground_state(obs)
+        config = AllocationConfig(budget=30, seed=2)
+        engine = MomentEngine(config.moments)
+        loop = _FastLoop(obs, cover, engine, enable_double=True)
+        rng = np.random.default_rng(config.seed)
+        actions = [MeasurementAction(kind="group", group=g)
+                   for g in range(cover.num_groups)]
+        actions.append(MeasurementAction(kind="double"))
+        script = [0, 1, "double", 0, 2, "double", 1]
+        for step in script:
+            want = [
+                estimate(
+                    virtual_update(loop.ledger, a, cover, engine), obs, engine
+                ).variance
+                for a in actions
+            ]
+            assert loop.predict(actions) == want
+            assert loop.variance == estimate(loop.ledger, obs, engine).variance
+            if step == "double":
+                action = MeasurementAction(kind="double")
+                outcome = sample_double_shot(state, obs, rng)
+            else:
+                action = MeasurementAction(kind="group", group=step)
+                outcome = sample_group_shot(state, obs, cover.groups[step], rng)
+            loop.record(outcome, action)
 
     def test_zero_term_observable_takes_no_shots(self):
         obs = parse_observable("0.5 II")

@@ -1,6 +1,8 @@
 """Tests for experiment specs, CSV/JSON documents, and the report drivers."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from doubleshot.experiments import (
 )
 from doubleshot.ledger import EstimateReport
 from doubleshot.pauli import parse_observable
-from doubleshot.posterior import MomentConfig
+from doubleshot.posterior import MomentConfig, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
 
 
@@ -167,10 +169,56 @@ class TestRunRepetitions:
             assert a.trace == b.trace == c.trace
 
     def test_repetitions_use_distinct_seeds(self):
+        # Repetition r is a lone run seeded rep_seed(0, r), bit for bit, and
+        # the seeds differ: not every repetition draws the same ledger.
+        obs = resolve_observable("builtin:toy-fig1")
+        state = ground_state(obs)
+        cover = cover_for(obs)
         results = self._run()
-        means = {r.report.mean for r in results}
-        singles = [r.ledger.singles.tobytes() for r in results]
-        assert len(set(singles)) == 3 or len(means) > 1
+        for rep, result in enumerate(results):
+            alone = run_allocation(
+                obs, state, cover,
+                AllocationConfig(budget=10, seed=rep_seed(0, rep)),
+            )
+            assert result.trace == alone.trace
+            assert result.report == alone.report
+            assert np.array_equal(result.ledger.singles, alone.ledger.singles)
+            assert np.array_equal(result.ledger.pairs, alone.ledger.pairs)
+        singles = {r.ledger.singles.tobytes() for r in results}
+        pairs = {r.ledger.pairs.tobytes() for r in results}
+        assert len(singles) > 1 or len(pairs) > 1
+
+
+class TestRunRepetitionsMemory:
+    def test_shared_engine_holds_nothing_per_repetition(self):
+        # Memory still allocated after run_repetitions returns (its results
+        # dropped) is what the shared engine kept; it must not grow with
+        # the number of repetitions.
+        obs = resolve_observable("builtin:ising-1x2")
+        state = ground_state(obs)
+        cover = cover_for(obs)
+        engine = MomentEngine(MomentConfig())
+
+        def run(reps):
+            run_repetitions(
+                obs, state, cover, budget=40, repetitions=reps,
+                enable_double=True, base_seed=0, moments=MomentConfig(),
+                engine=engine,
+            )
+
+        def held(reps):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(reps)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        run(1)  # module-level set-up (quadrature grids) happens once
+        two, eight = held(2), held(8)
+        assert eight - two < 64 * 1024, (two, eight)
 
 
 class TestCsvDocument:

@@ -231,6 +231,49 @@ class TestMomentEngineCaching:
             assert row[2] == m.phi
 
 
+class TestBatchInvariance:
+    """A row's moments are the same bits in any batch, size or position."""
+
+    SIZES = (1, 2, 3, 63, 64, 65, 257)
+    OFFSETS = (0, 1, 17, 64, 200)
+
+    @staticmethod
+    def _rows(width, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 40, (500, width)).astype(float)
+        # fractional virtual counts, and rows the symmetric and factorized
+        # shortcuts take
+        counts[::3] += rng.random((len(counts[::3]), width))
+        counts[::7, :2] = 0.0
+        counts[::11, : min(8, width)] = 0.0
+        return counts
+
+    @staticmethod
+    def _block(kind, counts):
+        # a fresh engine per call, so that no engine state could carry a
+        # value from one batch to the next
+        return getattr(MomentEngine(DEFAULT), f"{kind}_block")(counts)
+
+    @pytest.mark.parametrize("kind, width", [("single", 4), ("pair", 12)])
+    def test_slices_match_full_batch(self, kind, width):
+        counts = self._rows(width, 11)
+        full = self._block(kind, counts)
+        for size in self.SIZES:
+            for offset in self.OFFSETS:
+                part = self._block(kind, counts[offset : offset + size])
+                assert np.array_equal(part, full[offset : offset + size]), (
+                    size, offset,
+                )
+
+    def test_reordered_batch_matches(self):
+        counts = self._rows(12, 5)
+        order = np.random.default_rng(0).permutation(len(counts))
+        assert np.array_equal(
+            self._block("pair", counts[order]),
+            self._block("pair", counts)[order],
+        )
+
+
 class TestMcmc:
     def test_uniform_simplex_means(self):
         # +-0.01 is roughly a 1-sigma band for the default chain length, so

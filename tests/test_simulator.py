@@ -295,6 +295,35 @@ class TestDoubleShot:
             sample_double_shot(state, wide, np.random.default_rng(0), max_qubits=5)
 
 
+class TestGivenBellTable:
+    """A caller's prebuilt table gives the draws the sampler makes alone."""
+
+    def test_same_outcomes_and_stream(self):
+        obs = parse_observable(Y_TERMS_TEXT)
+        state = random_state(3, 17)
+        table = _bell_table(state)
+        rng_given = np.random.default_rng(7)
+        rng_alone = np.random.default_rng(7)
+        for _ in range(100):
+            given = sample_double_shot(state, obs, rng_given, bell=table)
+            assert given.values == sample_double_shot(state, obs, rng_alone).values
+        assert rng_given.random() == rng_alone.random()
+        assert np.array_equal(table, _bell_table(state))  # left untouched
+
+    def test_wrong_shape_refused(self):
+        obs = parse_observable("1.0 ZZ")
+        state = ground_state(obs)
+        with pytest.raises(InvalidInputError):
+            sample_double_shot(
+                state, obs, np.random.default_rng(0), bell=np.ones((2, 2)) / 4
+            )
+
+    def test_cap_checked_before_building(self):
+        state = ground_state(parse_observable("1.0 " + "Z" * 6))
+        with pytest.raises(ResourceLimitError):
+            _bell_table(state, max_qubits=5)
+
+
 class TestDoubleShotOracle:
     """The Bell-table sampler against projection of the doubled state."""
 
