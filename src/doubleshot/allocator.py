@@ -18,6 +18,16 @@ ones in their place.  The moment engine gives a row the same bits in any
 batch, so the predictions are bit-identical to rebuilding each hypothetical
 ledger and calling estimate() on it, which is what virtual_update and
 choose_action do and what the tests cross-check.
+
+A run is a generator of moment requests, and run_allocations advances a
+cohort of runs in lockstep: each re-evaluation phase (real single rows, real
+pair rows, virtual single rows, virtual joint pair rows) is one engine call
+holding the rows of every live run, which fills the quadrature chunks that
+one small run leaves mostly padding.  Again because a row's moments are the
+same bits in any batch, every run gets the bits it gets alone.  The cohort
+holds as many runs as fit COHORT_ROWS tally rows, so wide observables run
+one at a time and memory stays that of one cohort.  run_allocation is the
+one-run case.
 """
 from __future__ import annotations
 
@@ -41,6 +51,8 @@ from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _bell_table,
+    _group_actions,
+    _pauli_actions,
     sample_double_shot,
     sample_group_shot,
 )
@@ -298,13 +310,18 @@ class _FastLoop:
     a real double shot changes every row.  After an action only those rows'
     moments and contributions are evaluated again.  Double-shot variants are
     kept only when double shots are enabled.
+
+    The evaluations are generators of moment requests (see _lockstep): start()
+    for the fresh ledger, recorded() after a real shot.  Given an engine, the
+    loop serves them itself: the constructor evaluates the fresh ledger and
+    record() folds a shot in; without one (engine None) the caller serves them.
     """
 
     def __init__(
         self,
         obs: Observable,
         cover: GroupCover,
-        engine: MomentEngine,
+        engine: MomentEngine | None,
         enable_double: bool,
     ):
         self.engine = engine
@@ -325,24 +342,36 @@ class _FastLoop:
             for v in self.needed:
                 self.needed[v][getattr(gi, v)] = True
         self.variance = None
-        self._update(np.arange(p), np.arange(q))
+        if engine is not None:
+            _lockstep([self.start()], engine)
+
+    def start(self):
+        """Moment requests that evaluate every row of the fresh ledger."""
+        return self._update(
+            np.arange(self.ledger.num_terms), np.arange(self.ledger.num_pairs)
+        )
 
     def record(self, outcome, action: MeasurementAction) -> None:
         """Fold a real shot into the ledger and re-evaluate what it changed."""
+        _lockstep([self.recorded(outcome, action)], self.engine)
+
+    def recorded(self, outcome, action: MeasurementAction):
+        """Fold a real shot into the ledger; moment requests for what it changed."""
         self.ledger.record(outcome)
         if action.kind == "group":
             gi = self.groups[action.group]
-            self._update(gi.members, gi.touched)
-        else:
-            self._update(
-                np.arange(self.ledger.num_terms), np.arange(self.ledger.num_pairs)
-            )
+            return self._update(gi.members, gi.touched)
+        return self.start()
 
-    def _update(self, terms: np.ndarray, ks: np.ndarray) -> None:
-        """Re-evaluate term rows `terms`, pair rows `ks` and their variants."""
-        led, engine, coeff = self.ledger, self.engine, self.coeff
-        self.smom[terms] = engine.single_block(led.singles[terms])
-        self.pmom[ks] = engine.pair_block(led.pairs[ks])
+    def _update(self, terms: np.ndarray, ks: np.ndarray):
+        """Re-evaluate term rows `terms`, pair rows `ks` and their variants.
+
+        Four requests, in this order: real single rows, real pair rows,
+        virtual single rows, jointly measured virtual pair rows.
+        """
+        led, coeff = self.ledger, self.coeff
+        self.smom[terms] = yield "single", led.singles[terms]
+        self.pmom[ks] = yield "pair", led.pairs[ks]
         self.term["real"][terms] = term_contributions(coeff[terms], self.smom[terms])
         joint = joint_mask(led.pairs[ks])
         self.pair["real"][ks] = self._pair_contributions(
@@ -361,15 +390,15 @@ class _FastLoop:
             pair_ks["double"] = ks
             pair_rows["double"] = _double_pair_rows(led, self.pmom, ks)
 
-        # one engine call per kind; of the pair rows only the jointly
-        # measured go in, since the others contribute exactly zero
-        ms = engine.single_block(np.concatenate(list(term_rows.values())))
+        # one request per kind; of the pair rows only the jointly measured
+        # go in, since the others contribute exactly zero
+        ms = yield "single", np.concatenate(list(term_rows.values()))
         for pos, v in enumerate(term_rows):
             rows = ms[pos * terms.size : (pos + 1) * terms.size]
             self.term[v][terms] = term_contributions(coeff[terms], rows)
         joint = {v: joint_mask(rows) for v, rows in pair_rows.items()}
-        mp = engine.pair_block(
-            np.concatenate([rows[joint[v]] for v, rows in pair_rows.items()])
+        mp = yield "pair", np.concatenate(
+            [rows[joint[v]] for v, rows in pair_rows.items()]
         )
         at = 0
         for v in pair_rows:
@@ -409,31 +438,124 @@ class _FastLoop:
         return out
 
 
-def run_allocation(
+def _lockstep(runs: list, engine: MomentEngine) -> list:
+    """Serve generators of moment requests in lockstep; return their values.
+
+    A generator yields (kind, rows), kind "single" or "pair", and is sent
+    the engine's moments of those rows.  Each round evaluates the pending
+    rows of every live generator with one engine call per kind, so the rows
+    of many runs share the quadrature chunks; a row's moments are the same
+    bits in any batch, so each run is sent exactly what it would get alone.
+    A generator leaves when it returns.
+    """
+    values = [None] * len(runs)
+    pending = [(r, None) for r in range(len(runs))]
+    while pending:
+        requests = {"single": [], "pair": []}
+        for r, moments in pending:
+            try:
+                kind, rows = runs[r].send(moments)
+            except StopIteration as stop:
+                values[r] = stop.value
+            else:
+                requests[kind].append((r, rows))
+        pending = []
+        for kind, batch in requests.items():
+            if not batch:
+                continue
+            moments = _evaluate(engine, kind, [runs[r] for r, _ in batch],
+                                [rows for _, rows in batch])
+            at = 0
+            for r, rows in batch:
+                pending.append((r, moments[at : at + len(rows)]))
+                at += len(rows)
+    return values
+
+
+def _evaluate(engine: MomentEngine, kind: str, runs: list, rows: list):
+    """One engine call on the rows of several runs.
+
+    On a failure each run's rows are evaluated alone, and the error is
+    raised inside the first run whose rows fail, so that it leaves with
+    that run's own partial trace.
+    """
+    block = engine.single_block if kind == "single" else engine.pair_block
+    try:
+        return block(rows[0] if len(rows) == 1 else np.concatenate(rows))
+    except Exception:
+        for run, own in zip(runs, rows):
+            try:
+                block(own)
+            except Exception as err:
+                run.throw(err)
+        raise
+
+
+# Tally rows (terms plus pairs) per lockstep cohort.  A cohort's rows fill
+# the quadrature chunks that one run's small batches leave mostly empty; the
+# cap keeps the memory of a cohort near that of one wide run.
+COHORT_ROWS = 4096
+
+
+def cohort_size(obs: Observable) -> int:
+    """Repetitions run in lockstep: as many as fit COHORT_ROWS tally rows."""
+    led = TallyLedger(obs)
+    return max(1, COHORT_ROWS // max(1, led.num_terms + led.num_pairs))
+
+
+class _Shots:
+    """Shot sampling for every run of one state.
+
+    The state is fixed, so every term's signed permutation, each group's
+    commutation check and the Bell table are made once, at first use, and
+    serve every run.
+    """
+
+    def __init__(self, obs: Observable, state: StateVector, cover: GroupCover):
+        self.obs, self.state, self.cover = obs, state, cover
+        self.table = None
+        self.actions = {}
+        self.bell = None
+
+    def sample(self, action: MeasurementAction, rng, max_qubits: int):
+        """One shot of the action, drawn from rng."""
+        if action.kind == "group":
+            group = self.cover.groups[action.group]
+            if action.group not in self.actions:
+                if self.table is None:
+                    self.table = _pauli_actions(self.obs.strings())
+                self.actions[action.group] = _group_actions(
+                    self.obs, group, self.table
+                )
+            return sample_group_shot(
+                self.state, self.obs, group, rng,
+                actions=self.actions[action.group],
+            )
+        if self.bell is None:
+            self.bell = _bell_table(self.state, max_qubits)
+        return sample_double_shot(
+            self.state, self.obs, rng, max_qubits=max_qubits, bell=self.bell
+        )
+
+
+def _run(
     obs: Observable,
-    state: StateVector,
     cover: GroupCover,
     config: AllocationConfig,
-    engine: MomentEngine | None = None,
-) -> AllocationResult:
-    """Run the full allocate-measure-update loop until the budget is spent.
+    engine: MomentEngine,
+    shots: _Shots,
+):
+    """One allocate-measure-update run as a generator of moment requests.
 
-    Returns the final ledger, its estimate report, and one trace row per
-    executed action.  On a sampling or numerical failure the exception is
-    re-raised with the partial trace attached as `partial_trace`.
+    Returns its AllocationResult.  On a failure the exception is re-raised
+    with the run's partial trace attached as `partial_trace`.
     """
-    if engine is None:
-        engine = MomentEngine(config.moments)
     rng = np.random.default_rng(config.seed)
     trace: list[TraceRow] = []
-    # the state is fixed for the run, so its Bell table is built once, at
-    # the first two-copy shot
-    bell = None
-
     try:
-        loop = _FastLoop(obs, cover, engine, config.enable_double)
+        loop = _FastLoop(obs, cover, None, config.enable_double)
+        yield from loop.start()
         ledger = loop.ledger
-        step = 0
         while cover.num_groups > 0:
             remaining = config.budget - ledger.effective_shots
             if remaining < 1:
@@ -442,21 +564,11 @@ def run_allocation(
             predictions = loop.predict(actions)
             best = int(np.argmin(predictions))
             action = actions[best]
-            if action.kind == "group":
-                outcome = sample_group_shot(
-                    state, obs, cover.groups[action.group], rng
-                )
-            else:
-                if bell is None:
-                    bell = _bell_table(state, config.max_qubits)
-                outcome = sample_double_shot(
-                    state, obs, rng, max_qubits=config.max_qubits, bell=bell
-                )
-            loop.record(outcome, action)
-            step += 1
+            outcome = shots.sample(action, rng, config.max_qubits)
+            yield from loop.recorded(outcome, action)
             trace.append(
                 TraceRow(
-                    step=step,
+                    step=len(trace) + 1,
                     kind=action.kind,
                     group=action.group,
                     predicted_variance=predictions[best],
@@ -471,3 +583,50 @@ def run_allocation(
 
     report = estimate(ledger, obs, engine)
     return AllocationResult(ledger=ledger, report=report, trace=tuple(trace))
+
+
+def run_allocations(
+    obs: Observable,
+    state: StateVector,
+    cover: GroupCover,
+    configs: list[AllocationConfig],
+    engine: MomentEngine | None = None,
+) -> list[AllocationResult]:
+    """One allocation run per config, in order, run in lockstep cohorts.
+
+    The runs of a cohort (cohort_size of them) advance together: each
+    re-evaluation phase is one engine call holding the rows of every live
+    run, and a run leaves the cohort when its budget is spent.  Each run
+    keeps its own loop, rng and trace, and gets the same bits as alone.
+    Every run uses *engine*, by default one for the first config's moments.
+    """
+    if engine is None:
+        engine = MomentEngine(configs[0].moments)
+    shots = _Shots(obs, state, cover)
+    # a lone run needs no cohort, nor the pair scan that sizes one
+    size = cohort_size(obs) if len(configs) > 1 else 1
+    results = []
+    for lo in range(0, len(configs), size):
+        cohort = [
+            _run(obs, cover, config, engine, shots)
+            for config in configs[lo : lo + size]
+        ]
+        results.extend(_lockstep(cohort, engine))
+    return results
+
+
+def run_allocation(
+    obs: Observable,
+    state: StateVector,
+    cover: GroupCover,
+    config: AllocationConfig,
+    engine: MomentEngine | None = None,
+) -> AllocationResult:
+    """Run the full allocate-measure-update loop until the budget is spent.
+
+    Returns the final ledger, its estimate report, and one trace row per
+    executed action.  On a sampling or numerical failure the exception is
+    re-raised with the partial trace attached as `partial_trace`.  It is
+    the one-run case of run_allocations.
+    """
+    return run_allocations(obs, state, cover, [config], engine)[0]

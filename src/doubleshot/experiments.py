@@ -1,9 +1,10 @@
 """Experiment drivers: seeded repetition sweeps and their CSV/JSON artifacts.
 
 Every driver consumes an :class:`ExperimentSpec`, runs seeded allocation
-repetitions sequentially (repetition ``r`` always uses the derived seed
-``(base_seed, r)``, so results are independent of execution order and of how
-many repetitions run), and returns rows ready for :func:`write_csv`.
+repetitions in lockstep cohorts (repetition ``r`` always uses the derived
+seed ``(base_seed, r)`` and gives the same bits as run alone, so results are
+independent of execution order and of how many repetitions run), and returns
+rows ready for :func:`write_csv`.
 
 CSV files produced here are plain ``csv`` dialect with ``#``-prefixed comment
 lines above the header (column documentation) and, for drivers with summary
@@ -23,7 +24,14 @@ import csv
 
 import numpy as np
 
-from .allocator import AllocationConfig, AllocationResult, run_allocation
+# run_allocation is not called here, but perfbench's tracer wraps it by
+# this module's name, so it stays importable from it
+from .allocator import (  # noqa: F401
+    AllocationConfig,
+    AllocationResult,
+    run_allocation,
+    run_allocations,
+)
 from .errors import InvalidInputError
 from .hamiltonians import BUILTIN_NAMES, load_builtin
 from .ledger import EstimateReport
@@ -145,25 +153,28 @@ def run_repetitions(
     max_qubits: int = DEFAULT_MAX_QUBITS,
     engine: MomentEngine | None = None,
 ) -> list[AllocationResult]:
-    """Run seeded repetitions sequentially, ordered by repetition index.
+    """Run seeded repetitions, ordered by repetition index.
 
-    Repetition r is run_allocation seeded rep_seed(base_seed, r): the engine
-    holds no state, so it gives the same bits alone as here, and memory
-    does not grow with the number of repetitions.
+    Repetition r is run_allocation seeded rep_seed(base_seed, r).  The
+    repetitions run in lockstep cohorts (allocator.run_allocations): each
+    moment evaluation is one engine call for the whole cohort, whose size
+    the observable sets, so memory is bounded by one cohort.  The engine
+    holds no state and gives a row the same bits in any batch, so each
+    repetition gives the same bits as run alone.
     """
     if engine is None:
         engine = MomentEngine(moments)
-    results = []
-    for rep in range(repetitions):
-        config = AllocationConfig(
+    configs = [
+        AllocationConfig(
             budget=budget,
             enable_double=enable_double,
             moments=moments,
             seed=rep_seed(base_seed, rep),
             max_qubits=max_qubits,
         )
-        results.append(run_allocation(obs, state, cover, config, engine=engine))
-    return results
+        for rep in range(repetitions)
+    ]
+    return run_allocations(obs, state, cover, configs, engine=engine)
 
 
 # ---------------------------------------------------------------------------

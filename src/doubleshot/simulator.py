@@ -191,9 +191,12 @@ def _draw_outcome(theta: float, rng: np.random.Generator) -> int:
     return 1 if rng.random() < theta else -1
 
 
-def _measure_in_place(v: np.ndarray, s: PauliString, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Projectively measure s on v; returns (projected state, outcome)."""
-    pv = apply_pauli(s, v)
+def _measure_in_place(
+    v: np.ndarray, s: PauliString, src: np.ndarray, factor: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, int]:
+    """Projectively measure s, whose action is (P v)_b = factor[b] v[src[b]]."""
+    pv = factor * v[src]
     outcome = _draw_outcome(0.5 * (1.0 + float(np.real(np.vdot(v, pv)))), rng)
     v = 0.5 * (v + outcome * pv)
     nrm = np.linalg.norm(v)
@@ -204,24 +207,47 @@ def _measure_in_place(v: np.ndarray, s: PauliString, rng: np.random.Generator) -
     return v / nrm, outcome
 
 
-def sample_group_shot(
-    state: StateVector,
+def _pauli_actions(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations of many strings, one row each.
+
+    (P_k v)_b = factor[k, b] * v[src[k, b]], with the factor apply_pauli
+    multiplies by, so products with these rows are its bits.
+    """
+    actions = [_pauli_action(s) for s in strings]
+    src = np.stack([perm for perm, _, _ in actions])
+    factor = np.stack([phase * signs for _, signs, phase in actions])
+    return src, factor
+
+
+@dataclass(frozen=True, eq=False)
+class _GroupActions:
+    """A commuting group's strings in ascending term order, with their actions.
+
+    String k acts as (P v)_b = factor[k][b] * v[src[k][b]].
+    """
+
+    indices: tuple[int, ...]
+    strings: tuple[PauliString, ...]
+    src: tuple[np.ndarray, ...]
+    factor: tuple[np.ndarray, ...]
+
+
+def _group_actions(
     obs: Observable,
     group: Sequence[int],
-    rng: np.random.Generator,
-) -> ShotOutcome:
-    """One simultaneous shot of a commuting group, by sequential projection.
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _GroupActions:
+    """Check that a group commutes and take its strings' signed permutations.
 
-    The joint outcome distribution is order-independent because the strings
-    commute; measurement order is ascending term index for reproducibility.
+    For a caller that samples many shots of one group: sample_group_shot
+    otherwise does both on every shot.  table is _pauli_actions of all of
+    obs's strings, for a caller that takes the actions of many groups; the
+    group's rows then are views of it.  Without it they are built here.
     """
-    indices = sorted(group)
+    indices = tuple(sorted(group))
     if not indices:
         raise InvalidInputError("empty group")
-    strings = [obs.terms[i].string for i in indices]
-    for s in strings:
-        if s.width != state.width:
-            raise InvalidInputError("group strings do not match the state width")
+    strings = tuple(obs.terms[i].string for i in indices)
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
             if not commutes(strings[i], strings[j]):
@@ -229,10 +255,46 @@ def sample_group_shot(
                     f"group is not commuting: {strings[i].letters} vs "
                     f"{strings[j].letters}"
                 )
+    if table is None:
+        (src, factor), rows = _pauli_actions(strings), range(len(indices))
+    else:
+        (src, factor), rows = table, indices
+    return _GroupActions(
+        indices, strings, tuple(src[r] for r in rows), tuple(factor[r] for r in rows)
+    )
+
+
+def sample_group_shot(
+    state: StateVector,
+    obs: Observable,
+    group: Sequence[int],
+    rng: np.random.Generator,
+    actions: _GroupActions | None = None,
+) -> ShotOutcome:
+    """One simultaneous shot of a commuting group, by sequential projection.
+
+    The joint outcome distribution is order-independent because the strings
+    commute; measurement order is ascending term index for reproducibility.
+
+    actions is the group's _group_actions(obs, group), for a caller that
+    samples many shots of one group; they are built, and the group checked,
+    here when not given.  The draws are the same either way.
+    """
+    if actions is None:
+        actions = _group_actions(obs, group)
+    elif actions.indices != tuple(sorted(group)) or actions.strings != tuple(
+        obs.terms[i].string for i in actions.indices
+    ):
+        raise InvalidInputError("group actions were built for another group")
+    for s in actions.strings:
+        if s.width != state.width:
+            raise InvalidInputError("group strings do not match the state width")
     v = state.amplitudes.copy()
     values = {}
-    for idx, s in zip(indices, strings):
-        v, outcome = _measure_in_place(v, s, rng)
+    for idx, s, src, factor in zip(
+        actions.indices, actions.strings, actions.src, actions.factor
+    ):
+        v, outcome = _measure_in_place(v, s, src, factor, rng)
         values[idx] = outcome
     return ShotOutcome(kind="group", values=values)
 

@@ -10,15 +10,17 @@ from doubleshot.allocator import (
     MeasurementAction,
     _FastLoop,
     choose_action,
+    cohort_size,
     run_allocation,
+    run_allocations,
     virtual_update,
 )
 from doubleshot.errors import InvalidInputError, NumericalError
-from doubleshot.experiments import cover_for
-from doubleshot.hamiltonians import load_builtin
+from doubleshot.experiments import cover_for, rep_seed, run_repetitions
+from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
 from doubleshot.ledger import TallyLedger, estimate
 from doubleshot.pauli import build_group_cover, parse_observable
-from doubleshot.posterior import MomentEngine
+from doubleshot.posterior import MomentConfig, MomentEngine
 from doubleshot.simulator import (
     ShotOutcome,
     ground_state,
@@ -457,3 +459,73 @@ class TestRunAllocation:
         with pytest.raises(NumericalError) as excinfo:
             run_allocation(obs, state, cover, config)
         assert len(excinfo.value.partial_trace) == 3
+
+        # Inside one cohort only repetition 1 of 3 fails, at its 11th shot:
+        # the error leaves with that repetition's own trace.
+        rep1_shots = []
+
+        def flaky_in_rep1(state, obs, group, rng, **kwargs):
+            if rng.bit_generator.seed_seq.entropy == rep_seed(0, 1):
+                rep1_shots.append(group)
+                if len(rep1_shots) > 10:
+                    raise NumericalError("injected sampling failure")
+            return real(state, obs, group, rng, **kwargs)
+
+        monkeypatch.setattr(alloc_mod, "sample_group_shot", flaky_in_rep1)
+        obs = load_builtin("ising-1x2")
+        cover = cover_for(obs)
+        state = ground_state(obs)
+        assert cohort_size(obs) >= 3
+        with pytest.raises(NumericalError) as excinfo:
+            run_repetitions(obs, state, cover, 50, 3, False, 0, MomentConfig())
+        monkeypatch.undo()
+        alone = [
+            run_allocation(
+                obs, state, cover,
+                AllocationConfig(budget=50, enable_double=False, seed=rep_seed(0, r)),
+            ).trace[:10]
+            for r in range(3)
+        ]
+        assert excinfo.value.partial_trace == alone[1]
+        assert alone[1] not in (alone[0], alone[2])
+
+    def test_engine_failure_in_a_cohort_carries_that_runs_trace(self, monkeypatch):
+        # pair_block fails once a pair row holds 20 joint single counts,
+        # which each repetition reaches at its own step.  In a cohort the
+        # error leaves with the trace of the repetition that reaches it
+        # first, exactly as that repetition's lone run leaves.
+        real = MomentEngine.pair_block
+        calls = []
+
+        def failing(self, counts):
+            calls.append(counts.shape[0])
+            if np.any(counts[:, :4].sum(axis=1) >= 20):
+                raise NumericalError("injected moment failure")
+            return real(self, counts)
+
+        monkeypatch.setattr(MomentEngine, "pair_block", failing)
+        obs = load_builtin("ising-1x2")
+        cover = cover_for(obs)
+        state = ground_state(obs)
+        configs = [
+            AllocationConfig(budget=200, enable_double=False, seed=rep_seed(0, r))
+            for r in range(3)
+        ]
+        lone = []
+        for config in configs:
+            calls.clear()
+            with pytest.raises(NumericalError) as excinfo:
+                run_allocation(obs, state, cover, config)
+            lone.append((len(calls), excinfo.value.partial_trace))
+        first = min(range(3), key=lambda r: (lone[r][0], r))
+        assert first != 0
+        with pytest.raises(NumericalError) as excinfo:
+            run_allocations(obs, state, cover, configs)
+        assert excinfo.value.partial_trace == lone[first][1]
+
+    def test_cohort_size_follows_the_observable(self):
+        wide = build_ising(random_ising_spec(2, 5, np.random.default_rng(7)))
+        assert cohort_size(wide) == 1
+        assert cohort_size(load_builtin("ising-2x3")) == 1
+        assert cohort_size(load_builtin("ising-1x2")) >= 20
+        assert cohort_size(parse_observable("0.5 II")) >= 1

@@ -29,7 +29,7 @@ from doubleshot.experiments import (
     write_csv,
     write_json,
 )
-from doubleshot.ledger import EstimateReport
+from doubleshot.ledger import EstimateReport, TallyLedger
 from doubleshot.pauli import parse_observable
 from doubleshot.posterior import MomentConfig, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
@@ -219,6 +219,86 @@ class TestRunRepetitionsMemory:
         run(1)  # module-level set-up (quadrature grids) happens once
         two, eight = held(2), held(8)
         assert eight - two < 64 * 1024, (two, eight)
+
+
+class TestLockstepCohorts:
+    """Repetitions in lockstep cohorts give the bits of their lone runs."""
+
+    @staticmethod
+    def _force_cohorts_of_two(monkeypatch, obs):
+        import doubleshot.allocator as alloc_mod
+
+        ledger = TallyLedger(obs)
+        monkeypatch.setattr(
+            alloc_mod, "COHORT_ROWS", 2 * (ledger.num_terms + ledger.num_pairs)
+        )
+        assert alloc_mod.cohort_size(obs) == 2
+
+    @pytest.mark.parametrize("enable_double", [True, False])
+    @pytest.mark.parametrize("name, budget", [("toy-fig1", 30), ("ising-1x2", 40)])
+    def test_each_repetition_equals_its_lone_run(
+        self, monkeypatch, name, budget, enable_double
+    ):
+        obs = resolve_observable(f"builtin:{name}")
+        state = ground_state(obs)
+        cover = cover_for(obs)
+        # five repetitions span three cohorts: (0, 1), (2, 3) and (4,)
+        self._force_cohorts_of_two(monkeypatch, obs)
+        calls = {"n": 0}
+        real = MomentEngine.pair_block
+
+        def counting(self, counts):
+            calls["n"] += 1
+            return real(self, counts)
+
+        monkeypatch.setattr(MomentEngine, "pair_block", counting)
+        results = run_repetitions(
+            obs, state, cover, budget, 5, enable_double, 0, MomentConfig()
+        )
+        cohort_calls, calls["n"] = calls["n"], 0
+        for rep, result in enumerate(results):
+            alone = run_allocation(
+                obs, state, cover,
+                AllocationConfig(
+                    budget=budget, enable_double=enable_double,
+                    seed=rep_seed(0, rep),
+                ),
+            )
+            assert result.trace == alone.trace
+            assert result.report == alone.report
+            assert np.array_equal(result.ledger.singles, alone.ledger.singles)
+            assert np.array_equal(result.ledger.pairs, alone.ledger.pairs)
+        # the cohorts shared engine calls
+        assert cohort_calls < calls["n"]
+        if name == "ising-1x2" and enable_double:
+            # a cohort whose repetitions end at different steps
+            assert len(results[0].trace) != len(results[1].trace)
+
+    def test_memory_grows_only_by_the_results(self, monkeypatch):
+        # With cohorts of two, the working memory above what run_repetitions
+        # returns is one cohort's, however many repetitions run.
+        obs = resolve_observable("builtin:ising-2x2")
+        state = ground_state(obs)
+        cover = cover_for(obs)
+        self._force_cohorts_of_two(monkeypatch, obs)
+
+        def working(reps):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                results = run_repetitions(
+                    obs, state, cover, budget=16, repetitions=reps,
+                    enable_double=True, base_seed=0, moments=MomentConfig(),
+                )
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results) == reps
+            return peak - held
+
+        working(1)  # module-level set-up (quadrature grids) happens once
+        two, six = working(2), working(6)
+        assert six - two < 512 * 1024, (two, six)
 
 
 class TestCsvDocument:

@@ -9,11 +9,14 @@ import pytest
 
 from doubleshot.errors import InvalidInputError, ResourceLimitError
 from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
-from doubleshot.pauli import PauliString, commutes, parse_observable
+from doubleshot.pauli import PauliString, build_group_cover, commutes, parse_observable
 from doubleshot.posterior import phi_joint_of_theta_joint, phi_of_theta
 from doubleshot.simulator import (
     StateVector,
     _bell_table,
+    _group_actions,
+    _pauli_actions,
+    apply_pauli,
     exact_mean,
     exact_pair_thetas,
     exact_theta,
@@ -322,6 +325,63 @@ class TestGivenBellTable:
         state = ground_state(parse_observable("1.0 " + "Z" * 6))
         with pytest.raises(ResourceLimitError):
             _bell_table(state, max_qubits=5)
+
+
+class TestGivenGroupActions:
+    """A caller's prebuilt group actions give the draws the sampler makes alone."""
+
+    @pytest.mark.parametrize(
+        "obs, state",
+        [
+            (load_builtin("ising-2x2"), ground_state(load_builtin("ising-2x2"))),
+            (parse_observable(Y_TERMS_TEXT), random_state(3, 17)),
+        ],
+        ids=["ising-2x2", "random-3q-y-terms"],
+    )
+    def test_same_outcomes_and_stream(self, obs, state):
+        groups = build_group_cover(obs).groups
+        table = _pauli_actions(obs.strings())
+        actions = [_group_actions(obs, g, table) for g in groups]
+        rng_given = np.random.default_rng(11)
+        rng_alone = np.random.default_rng(11)
+        for shot in range(200):
+            g = shot % len(groups)
+            given = sample_group_shot(
+                state, obs, groups[g], rng_given, actions=actions[g]
+            )
+            assert given.values == sample_group_shot(
+                state, obs, groups[g], rng_alone
+            ).values
+        assert rng_given.random() == rng_alone.random()
+
+    def test_table_rows_act_as_apply_pauli(self):
+        obs = parse_observable(Y_TERMS_TEXT)
+        v = random_state(3, 17).amplitudes
+        src, factor = _pauli_actions(obs.strings())
+        for k, s in enumerate(obs.strings()):
+            assert np.array_equal(factor[k] * v[src[k]], apply_pauli(s, v))
+
+    def test_actions_of_another_group_refused(self):
+        obs = parse_observable(TOY_TEXT)
+        state = ground_state(obs)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError):
+            sample_group_shot(
+                state, obs, [0, 1, 2], rng, actions=_group_actions(obs, [2, 3, 4])
+            )
+        # the same term indices of another observable
+        other = parse_observable("1.0 IZ\n1.0 ZI")
+        with pytest.raises(InvalidInputError):
+            sample_group_shot(
+                state, obs, [0, 1], rng, actions=_group_actions(other, [0, 1])
+            )
+
+    def test_commutation_checked_when_building(self):
+        obs = parse_observable("1.0 X\n1.0 Z")
+        with pytest.raises(InvalidInputError):
+            _group_actions(obs, [0, 1])
+        with pytest.raises(InvalidInputError):
+            _group_actions(obs, [])
 
 
 class TestDoubleShotOracle:
