@@ -273,20 +273,19 @@ def choose_action(
     obs: Observable,
     cover: GroupCover,
     config: AllocationConfig,
-    engine: MomentEngine | None = None,
 ) -> MeasurementAction:
     """Reference chooser: rebuild every hypothetical ledger and estimate it.
 
     Ties resolve to the first candidate in order (groups by index, double
-    last), so equal predictions prefer the cheaper action.
+    last), so equal predictions prefer the cheaper action.  Moments follow
+    config.moments.
     """
     remaining = config.budget - ledger.effective_shots
     if remaining < 1:
         raise InvalidInputError("no budget remaining")
     if cover.num_groups == 0:
         raise InvalidInputError("no measurable groups")
-    if engine is None:
-        engine = MomentEngine(config.moments)
+    engine = MomentEngine(config.moments)
     actions = _candidate_actions(cover, config, remaining)
     best, best_var = None, None
     for action in actions:
@@ -311,20 +310,12 @@ class _FastLoop:
     moments and contributions are evaluated again.  Double-shot variants are
     kept only when double shots are enabled.
 
-    The evaluations are generators of moment requests (see _lockstep): start()
-    for the fresh ledger, recorded() after a real shot.  Given an engine, the
-    loop serves them itself: the constructor evaluates the fresh ledger and
-    record() folds a shot in; without one (engine None) the caller serves them.
+    The evaluations are generators of moment requests, which the caller
+    serves (see _lockstep): start() for the fresh ledger, recorded() after a
+    real shot.
     """
 
-    def __init__(
-        self,
-        obs: Observable,
-        cover: GroupCover,
-        engine: MomentEngine | None,
-        enable_double: bool,
-    ):
-        self.engine = engine
+    def __init__(self, obs: Observable, cover: GroupCover, enable_double: bool):
         self.enable_double = enable_double
         self.coeff = obs.coefficients()
         self.ledger = led = TallyLedger(obs)
@@ -342,18 +333,12 @@ class _FastLoop:
             for v in self.needed:
                 self.needed[v][getattr(gi, v)] = True
         self.variance = None
-        if engine is not None:
-            _lockstep([self.start()], engine)
 
     def start(self):
         """Moment requests that evaluate every row of the fresh ledger."""
         return self._update(
             np.arange(self.ledger.num_terms), np.arange(self.ledger.num_pairs)
         )
-
-    def record(self, outcome, action: MeasurementAction) -> None:
-        """Fold a real shot into the ledger and re-evaluate what it changed."""
-        _lockstep([self.recorded(outcome, action)], self.engine)
 
     def recorded(self, outcome, action: MeasurementAction):
         """Fold a real shot into the ledger; moment requests for what it changed."""
@@ -542,7 +527,6 @@ def _run(
     obs: Observable,
     cover: GroupCover,
     config: AllocationConfig,
-    engine: MomentEngine,
     shots: _Shots,
 ):
     """One allocate-measure-update run as a generator of moment requests.
@@ -553,7 +537,7 @@ def _run(
     rng = np.random.default_rng(config.seed)
     trace: list[TraceRow] = []
     try:
-        loop = _FastLoop(obs, cover, None, config.enable_double)
+        loop = _FastLoop(obs, cover, config.enable_double)
         yield from loop.start()
         ledger = loop.ledger
         while cover.num_groups > 0:
@@ -581,7 +565,7 @@ def _run(
         err.partial_trace = tuple(trace)
         raise
 
-    report = estimate(ledger, obs, engine)
+    report = estimate(ledger, obs, MomentEngine(config.moments))
     return AllocationResult(ledger=ledger, report=report, trace=tuple(trace))
 
 
@@ -590,7 +574,6 @@ def run_allocations(
     state: StateVector,
     cover: GroupCover,
     configs: list[AllocationConfig],
-    engine: MomentEngine | None = None,
 ) -> list[AllocationResult]:
     """One allocation run per config, in order, run in lockstep cohorts.
 
@@ -598,17 +581,21 @@ def run_allocations(
     re-evaluation phase is one engine call holding the rows of every live
     run, and a run leaves the cohort when its budget is spent.  Each run
     keeps its own loop, rng and trace, and gets the same bits as alone.
-    Every run uses *engine*, by default one for the first config's moments.
+    The configs must share their moment settings, since every engine call
+    serves several runs.
     """
-    if engine is None:
-        engine = MomentEngine(configs[0].moments)
+    if not configs:
+        return []
+    if any(config.moments != configs[0].moments for config in configs):
+        raise InvalidInputError("the configs of one call must share their moments")
+    engine = MomentEngine(configs[0].moments)
     shots = _Shots(obs, state, cover)
     # a lone run needs no cohort, nor the pair scan that sizes one
     size = cohort_size(obs) if len(configs) > 1 else 1
     results = []
     for lo in range(0, len(configs), size):
         cohort = [
-            _run(obs, cover, config, engine, shots)
+            _run(obs, cover, config, shots)
             for config in configs[lo : lo + size]
         ]
         results.extend(_lockstep(cohort, engine))
@@ -620,7 +607,6 @@ def run_allocation(
     state: StateVector,
     cover: GroupCover,
     config: AllocationConfig,
-    engine: MomentEngine | None = None,
 ) -> AllocationResult:
     """Run the full allocate-measure-update loop until the budget is spent.
 
@@ -629,4 +615,4 @@ def run_allocation(
     re-raised with the partial trace attached as `partial_trace`.  It is
     the one-run case of run_allocations.
     """
-    return run_allocations(obs, state, cover, [config], engine)[0]
+    return run_allocations(obs, state, cover, [config])[0]

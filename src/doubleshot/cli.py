@@ -55,6 +55,17 @@ EXIT_NUMERICAL = 3
 EXIT_RESOURCE = 4
 
 
+def _width_cap(text: str) -> int:
+    """--max-qubits value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_observable_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -81,14 +92,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="never assign shots to the two-copy scheme",
     )
     parser.add_argument(
-        "--backend",
-        choices=("quadrature", "mcmc"),
-        default="quadrature",
-        help="posterior moment backend (default quadrature)",
-    )
-    parser.add_argument(
         "--max-qubits",
-        type=int,
+        type=_width_cap,
         default=DEFAULT_MAX_QUBITS,
         help=f"dense-simulation width cap (default {DEFAULT_MAX_QUBITS})",
     )
@@ -108,8 +113,6 @@ def _experiment_spec(args, budgets) -> ExperimentSpec:
         state_source=args.state,
         enable_double=not args.no_double,
         base_seed=args.seed,
-        backend=args.backend,
-        output_path=getattr(args, "out", None),
         max_qubits=args.max_qubits,
     )
 
@@ -162,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=GROUND_STATE_SOURCE,
         help="'ground-state' (default) or an amplitude file",
     )
-    p.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
+    p.add_argument(
+        "--max-qubits", type=_width_cap, default=DEFAULT_MAX_QUBITS
+    )
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_reference)
 
@@ -272,23 +277,19 @@ def _cmd_estimate(args) -> int:
     obs = resolve_observable(_observable_source(args))
     state = resolve_state(args.state, obs, args.max_qubits)
     cover = cover_for(obs)
-    spec = _experiment_spec(args, (args.budget,))
     config = AllocationConfig(
         budget=args.budget,
-        enable_double=spec.enable_double,
-        moments=spec.moment_config(),
-        seed=(spec.base_seed, 0),
-        max_qubits=spec.max_qubits,
+        enable_double=not args.no_double,
+        seed=(args.seed, 0),
+        max_qubits=args.max_qubits,
     )
     result = run_allocation(obs, state, cover, config)
     payload = result.report.to_dict()
-    payload["seed"] = spec.base_seed
+    payload["seed"] = args.seed
     payload["budget"] = args.budget
     _emit_text(json.dumps(payload, indent=2) + "\n", args.out)
     if args.trace_out:
-        write_csv(
-            trace_document(result, f"seed = {spec.base_seed}"), args.trace_out
-        )
+        write_csv(trace_document(result, f"seed = {args.seed}"), args.trace_out)
     return EXIT_OK
 
 

@@ -24,4 +24,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical backend produced garbage (non-finite integrand, dead chain...)."""
+    """A numerical routine produced garbage (non-finite integrand, dead chain...)."""

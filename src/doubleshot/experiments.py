@@ -36,7 +36,7 @@ from .errors import InvalidInputError
 from .hamiltonians import BUILTIN_NAMES, load_builtin
 from .ledger import EstimateReport
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
-from .posterior import MomentConfig, MomentEngine
+from .posterior import DEFAULT_CONFIG, MomentConfig
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -63,8 +63,6 @@ __all__ = [
 
 GROUND_STATE_SOURCE = "ground-state"
 
-_BACKENDS = ("quadrature", "mcmc")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -81,8 +79,6 @@ class ExperimentSpec:
     state_source: str = GROUND_STATE_SOURCE
     enable_double: bool = True
     base_seed: int = 0
-    backend: str = "quadrature"
-    output_path: str | None = None
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
@@ -99,13 +95,6 @@ class ExperimentSpec:
             raise InvalidInputError(
                 f"budgets must be strictly increasing, got {self.budgets}"
             )
-        if self.backend not in _BACKENDS:
-            raise InvalidInputError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
-
-    def moment_config(self) -> MomentConfig:
-        return MomentConfig(backend=self.backend)
 
 
 def resolve_observable(source: str) -> Observable:
@@ -151,7 +140,6 @@ def run_repetitions(
     base_seed: int,
     moments: MomentConfig,
     max_qubits: int = DEFAULT_MAX_QUBITS,
-    engine: MomentEngine | None = None,
 ) -> list[AllocationResult]:
     """Run seeded repetitions, ordered by repetition index.
 
@@ -162,8 +150,6 @@ def run_repetitions(
     holds no state and gives a row the same bits in any batch, so each
     repetition gives the same bits as run alone.
     """
-    if engine is None:
-        engine = MomentEngine(moments)
     configs = [
         AllocationConfig(
             budget=budget,
@@ -174,7 +160,7 @@ def run_repetitions(
         )
         for rep in range(repetitions)
     ]
-    return run_allocations(obs, state, cover, configs, engine=engine)
+    return run_allocations(obs, state, cover, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +252,8 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
     state = resolve_state(spec.state_source, obs, spec.max_qubits)
     cover = cover_for(obs)
     truth = exact_mean(obs, state)
-    moments = spec.moment_config()
     rows = []
     for arm_name, arm_double in (("double_on", True), ("double_off", False)):
-        engine = MomentEngine(moments)
         for budget in spec.budgets:
             results = run_repetitions(
                 obs,
@@ -279,9 +263,8 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
                 spec.repetitions,
                 enable_double=arm_double and spec.enable_double,
                 base_seed=spec.base_seed,
-                moments=moments,
+                moments=DEFAULT_CONFIG,
                 max_qubits=spec.max_qubits,
-                engine=engine,
             )
             scaled = np.array([_scaled_variance(r.report) for r in results])
             sq_err = np.array(
@@ -326,7 +309,6 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
             f"observable = {spec.observable_source}",
             f"state = {spec.state_source}",
             f"base_seed = {spec.base_seed}",
-            f"backend = {spec.backend}",
             f"enable_double = {spec.enable_double}",
         ),
     )
@@ -345,7 +327,6 @@ def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocume
     state = resolve_state(spec.state_source, obs, spec.max_qubits)
     cover = cover_for(obs)
     truth = exact_mean(obs, state)
-    moments = spec.moment_config()
     results = run_repetitions(
         obs,
         state,
@@ -354,7 +335,7 @@ def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocume
         spec.repetitions,
         enable_double=spec.enable_double,
         base_seed=spec.base_seed,
-        moments=moments,
+        moments=DEFAULT_CONFIG,
         max_qubits=spec.max_qubits,
     )
     rows = []
@@ -407,7 +388,6 @@ def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocume
             f"state = {spec.state_source}",
             f"budget = {budget}",
             f"base_seed = {spec.base_seed}",
-            f"backend = {spec.backend}",
             f"enable_double = {spec.enable_double}",
             f"exact_mean = {truth!r}",
         ),
@@ -448,7 +428,6 @@ def double_usage_rows(
     obs = resolve_observable(spec.observable_source)
     state = resolve_state(spec.state_source, obs, spec.max_qubits)
     cover = cover_for(obs)
-    moments = spec.moment_config()
     results = run_repetitions(
         obs,
         state,
@@ -457,7 +436,7 @@ def double_usage_rows(
         spec.repetitions,
         enable_double=spec.enable_double,
         base_seed=spec.base_seed,
-        moments=moments,
+        moments=DEFAULT_CONFIG,
         max_qubits=spec.max_qubits,
     )
     # Every action advances m by exactly 1, so step k of any trace has
@@ -495,7 +474,6 @@ def double_usage_rows(
             f"state = {spec.state_source}",
             f"budget = {spec.budgets[-1]}",
             f"base_seed = {spec.base_seed}",
-            f"backend = {spec.backend}",
             f"enable_double = {spec.enable_double}",
         ),
         bottom_comments=(

@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pauli import Observable, commutes
-from .posterior import (
-    DEFAULT_CONFIG,
-    MomentConfig,
-    MomentEngine,
-    PairTally,
-    SingleTally,
-)
+from .posterior import MomentEngine, PairTally, SingleTally
 from .simulator import ShotOutcome
 
 _NEGATIVE_VARIANCE_FLOOR = -1e-9
@@ -306,7 +300,6 @@ def estimate(
     ledger: TallyLedger,
     obs: Observable,
     engine: MomentEngine | None = None,
-    config: MomentConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Assemble the point estimate and its claimed variance from the counts.
 
@@ -315,7 +308,8 @@ def estimate(
     8 sum over jointly measured commuting pairs of c_i c_j Cov(theta_i,
     theta_j), where both the product moment and the subtracted marginals come
     from the same pair posterior.  Pairs with no joint counts contribute
-    exactly zero and are skipped.
+    exactly zero and are skipped.  Moments come from *engine*, by default
+    one with the default moment settings.
     """
     if ledger.num_terms != obs.num_terms:
         raise InvalidInputError(
@@ -323,7 +317,7 @@ def estimate(
             f"{obs.num_terms}"
         )
     if engine is None:
-        engine = MomentEngine(config)
+        engine = MomentEngine()
     coeff = obs.coefficients()
     strings = obs.strings()
 

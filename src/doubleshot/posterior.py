@@ -13,17 +13,17 @@ Two posteriors, both under flat priors and evaluated in the log domain:
 Component order for all length-4 joint vectors is (++, +-, -+, --), first
 sign = lower term index.
 
-Backends: deterministic quadrature (Gauss-Legendre in 1-D, midpoint tensor
-grid on the simplex) and a Metropolis random walk in additive-logistic
-coordinates.  When a pair has no joint counts at all, its posterior
-factorizes into the two 1-D posteriors and the moments are assembled as exact
-products; this is what makes never-measured-together pairs contribute exactly
-zero covariance.  The quadrature reads rows in fixed-shape chunks, so a row's
-moments are the same bits in whatever batch the row is evaluated.
+Moments come from deterministic quadrature: Gauss-Legendre in 1-D and a
+midpoint tensor grid on the simplex.  When a pair has no joint counts at all,
+its posterior factorizes into the two 1-D posteriors and the moments are
+assembled as exact products; this is what makes never-measured-together pairs
+contribute exactly zero covariance.  The quadrature reads rows in fixed-shape
+chunks, so a row's moments are the same bits in whatever batch the row is
+evaluated.  mcmc_pair_block, a Metropolis random walk in additive-logistic
+coordinates, checks the pair quadrature independently; no run calls it.
 """
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +37,9 @@ from .errors import InvalidInputError, NumericalError
 # kernels, so that no row of a chunk falls in an edge tile summed in another
 # order than the rest.
 _CHUNK_ROWS = 64
+
+# Gauss-Legendre nodes of the single-term quadrature.
+_SINGLE_NODES = 512
 
 
 def _check_counts(values, what: str):
@@ -99,10 +102,6 @@ class PairTally:
             ]
         )
 
-    @property
-    def has_joint_data(self) -> bool:
-        return any(self.s_joint) or any(self.d_joint)
-
 
 @dataclass(frozen=True)
 class SingleMoments:
@@ -131,28 +130,14 @@ class PairMoments:
 
 @dataclass(frozen=True)
 class MomentConfig:
-    """Backend selection and numerical settings for moment evaluation."""
+    """Cells per axis of the pair quadrature's midpoint grid."""
 
-    backend: str = "quadrature"
-    single_nodes: int = 512
     pair_cells: int = 16
-    mcmc_burn_in: int = 2000
-    mcmc_samples: int = 20000
-    mcmc_thin: int = 1
-    mcmc_initial_step: float = 0.8
-    mcmc_target_band: tuple[float, float] = (0.2, 0.5)
-    mcmc_band_margin: float = 0.05
-    mcmc_seed: int = 0
-
-    def __post_init__(self):
-        if self.backend not in ("quadrature", "mcmc"):
-            raise InvalidInputError(f"unknown backend {self.backend!r}")
 
     @classmethod
-    def oracle(cls, **overrides) -> "MomentConfig":
+    def oracle(cls) -> "MomentConfig":
         """The 60-cells-per-axis midpoint grid used as the test oracle."""
-        overrides.setdefault("pair_cells", 60)
-        return cls(**overrides)
+        return cls(pair_cells=60)
 
 
 DEFAULT_CONFIG = MomentConfig()
@@ -194,6 +179,22 @@ def phi_joint_of_theta_joint(theta_joint):
         axis=-1,
     )
     return out
+
+
+def _pair_factors(t0, t1, t2, t3) -> list:
+    """The 12 likelihood factors of a pair, in count-column order.
+
+    Joint outcome probabilities t, joint agreement probabilities phi_joint,
+    then the marginals theta_i, 1 - theta_i, theta_j, 1 - theta_j.
+    """
+    return [
+        t0, t1, t2, t3,
+        t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3,
+        2.0 * (t0 * t1 + t2 * t3),
+        2.0 * (t0 * t2 + t1 * t3),
+        2.0 * (t0 * t3 + t1 * t2),
+        t0 + t1, t2 + t3, t0 + t2, t1 + t3,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +262,12 @@ class _PairGrid:
         keep = u + v + w < 1.0
         t0, t1, t2 = u[keep], v[keep], w[keep]
         t3 = 1.0 - t0 - t1 - t2
-        ti, omi = t0 + t1, t2 + t3
-        tj, omj = t0 + t2, t1 + t3
-        phi0 = t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3
-        phi1 = 2.0 * (t0 * t1 + t2 * t3)
-        phi2 = 2.0 * (t0 * t2 + t1 * t3)
-        phi3 = 2.0 * (t0 * t3 + t1 * t2)
-        cols = [t0, t1, t2, t3, phi0, phi1, phi2, phi3, ti, omi, tj, omj]
-        self.logs_t = np.log(np.stack(cols))
+        factors = _pair_factors(t0, t1, t2, t3)
+        self.logs_t = np.log(np.stack(factors))
+        ti, tj = factors[8], factors[10]
         # cells have equal weight
         self.weighted = np.stack(
-            [np.ones_like(t0), t0, t1, t2, t3, phi0, phi1, phi2, phi3,
-             ti * tj, ti, tj],
-            axis=1,
+            [np.ones_like(t0), *factors[:8], ti * tj, ti, tj], axis=1
         )
         self.npoints = t0.size
 
@@ -282,9 +276,9 @@ class _PairGrid:
         return _chunked_means(counts, self.logs_t, self.weighted, "pair")
 
 
-@lru_cache(maxsize=8)
-def _single_grid(nodes: int) -> _SingleGrid:
-    return _SingleGrid(nodes)
+@lru_cache(maxsize=1)
+def _single_grid() -> _SingleGrid:
+    return _SingleGrid(_SINGLE_NODES)
 
 
 @lru_cache(maxsize=4)
@@ -293,42 +287,47 @@ def _pair_grid(cells: int) -> _PairGrid:
 
 
 # ---------------------------------------------------------------------------
-# MCMC backend
+# MCMC cross-check
+
+# Chain settings: burn-in steps (which adapt the step size toward the
+# acceptance band), retained samples, and the initial step.
+_MCMC_BURN_IN = 2000
+_MCMC_SAMPLES = 20000
+_MCMC_INITIAL_STEP = 0.8
+_MCMC_TARGET_BAND = (0.2, 0.5)
 
 
 def _run_chain(
     logdensity_y: Callable[[np.ndarray], float],
     dim: int,
-    config: MomentConfig,
     rng: np.random.Generator,
-):
+) -> np.ndarray:
     """Random-walk Metropolis in R^dim with burn-in step adaptation.
 
-    Returns (retained y samples, sampling-phase acceptance rate).
+    Returns the retained y samples.
     """
-    total = config.mcmc_burn_in + config.mcmc_samples * config.mcmc_thin
+    total = _MCMC_BURN_IN + _MCMC_SAMPLES
     normals = rng.standard_normal((total, dim))
     log_uniforms = np.log(rng.random(total))
-    step = config.mcmc_initial_step
-    low, high = config.mcmc_target_band
+    step = _MCMC_INITIAL_STEP
+    low, high = _MCMC_TARGET_BAND
 
     y = np.zeros(dim)
     logp = logdensity_y(y)
     if not np.isfinite(logp):
         raise NumericalError("log-density not finite at the simplex center")
-    retained = np.empty((config.mcmc_samples, dim))
+    retained = np.empty((_MCMC_SAMPLES, dim))
     accepted_window = 0
     accepted_sampling = 0
-    kept = 0
     for k in range(total):
         proposal = y + step * normals[k]
         logp_new = logdensity_y(proposal)
         if log_uniforms[k] < logp_new - logp:
             y, logp = proposal, logp_new
             accepted_window += 1
-            if k >= config.mcmc_burn_in:
+            if k >= _MCMC_BURN_IN:
                 accepted_sampling += 1
-        if k < config.mcmc_burn_in:
+        if k < _MCMC_BURN_IN:
             if (k + 1) % 100 == 0:
                 rate = accepted_window / 100.0
                 if rate < low:
@@ -337,13 +336,10 @@ def _run_chain(
                     step *= 1.4
                 accepted_window = 0
         else:
-            if (k - config.mcmc_burn_in) % config.mcmc_thin == 0:
-                retained[kept] = y
-                kept += 1
+            retained[k - _MCMC_BURN_IN] = y
     if accepted_sampling == 0:
         raise NumericalError("Metropolis chain rejected every proposal")
-    rate = accepted_sampling / (config.mcmc_samples * config.mcmc_thin)
-    return retained[:kept], rate
+    return retained
 
 
 def _y_to_simplex(y: np.ndarray) -> np.ndarray:
@@ -357,7 +353,6 @@ def _y_to_simplex(y: np.ndarray) -> np.ndarray:
 def mcmc_sample(
     logdensity: Callable[[np.ndarray], float],
     ncomp: int,
-    config: MomentConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw samples from a density on the (ncomp-1)-simplex.
@@ -375,111 +370,51 @@ def mcmc_sample(
             return -np.inf
         return logdensity(theta) + np.log(theta).sum()
 
-    ys, _ = _run_chain(logdensity_y, ncomp - 1, config, rng)
+    ys = _run_chain(logdensity_y, ncomp - 1, rng)
     out = np.empty((ys.shape[0], ncomp))
     for i, y in enumerate(ys):
         out[i] = _y_to_simplex(y)
     return out
 
 
-def _tally_rng(config: MomentConfig, counts: np.ndarray) -> np.random.Generator:
-    """Generator seeded by the tally's counts.
-
-    A row's MCMC moments then depend on that row alone, as its quadrature
-    moments do.
-    """
-    digest = zlib.crc32(counts.tobytes())
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((config.mcmc_seed, digest)))
-    )
-
-
-def _logfactors(counts: np.ndarray, columns) -> Callable[[np.ndarray], float]:
-    """Sum of count * log(column(theta)) skipping zero counts (avoids 0 * -inf)."""
-    active = [(c, f) for c, f in zip(counts, columns) if c != 0.0]
+def _pair_loglike(counts: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Sum of count * log(factor) over a pair row, skipping zero counts."""
 
     def logdensity(theta):
         total = 0.0
-        for c, f in active:
-            val = f(theta)
-            if val <= 0.0:
-                return -np.inf
-            total += c * np.log(val)
+        for c, f in zip(counts, _pair_factors(*theta)):
+            if c != 0.0:
+                if f <= 0.0:
+                    return -np.inf
+                total += c * np.log(f)
         return total
 
     return logdensity
 
 
-_SINGLE_COLUMNS = [
-    lambda t: t[0],
-    lambda t: t[1],
-    lambda t: t[0] * t[0] + t[1] * t[1],
-    lambda t: 2.0 * t[0] * t[1],
-]
+def mcmc_pair_block(counts: np.ndarray) -> np.ndarray:
+    """counts (K,12) -> (K,11) pair moment rows by MCMC, in pair_block's order.
 
-_PAIR_COLUMNS = [
-    lambda t: t[0],
-    lambda t: t[1],
-    lambda t: t[2],
-    lambda t: t[3],
-    lambda t: t[0] * t[0] + t[1] * t[1] + t[2] * t[2] + t[3] * t[3],
-    lambda t: 2.0 * (t[0] * t[1] + t[2] * t[3]),
-    lambda t: 2.0 * (t[0] * t[2] + t[1] * t[3]),
-    lambda t: 2.0 * (t[0] * t[3] + t[1] * t[2]),
-    lambda t: t[0] + t[1],
-    lambda t: t[2] + t[3],
-    lambda t: t[0] + t[2],
-    lambda t: t[1] + t[3],
-]
-
-
-def _mcmc_with_fallback(kind: str, counts: np.ndarray, config: MomentConfig):
-    """Run the MCMC backend; fall back to quadrature if acceptance drifts out."""
-    low, high = config.mcmc_target_band
-    margin = config.mcmc_band_margin
-    columns = _SINGLE_COLUMNS if kind == "single" else _PAIR_COLUMNS
-    logdensity = _logfactors(counts, columns)
-    ncomp = 2 if kind == "single" else 4
-
-    def logdensity_y(y):
-        theta = _y_to_simplex(y)
-        if np.any(theta <= 0.0):
-            return -np.inf
-        return logdensity(theta) + np.log(theta).sum()
-
-    rng = _tally_rng(config, counts)
-    ys, rate = _run_chain(logdensity_y, ncomp - 1, config, rng)
-    if rate < low - margin or rate > high + margin:
-        warnings.warn(
-            f"MCMC acceptance {rate:.3f} outside [{low}, {high}] band after "
-            "adaptation; falling back to quadrature",
-            RuntimeWarning,
-            stacklevel=3,
+    An independent check of the pair quadrature, at about 0.7 s per row.
+    Each row's chain is seeded from that row's counts, so a row's moments
+    depend on the row alone.
+    """
+    counts = np.ascontiguousarray(counts, dtype=float)
+    out = np.empty((counts.shape[0], 11))
+    for r, row in enumerate(counts):
+        seed = np.random.SeedSequence((0, zlib.crc32(row.tobytes())))
+        samples = mcmc_sample(
+            _pair_loglike(row), 4, np.random.Generator(np.random.PCG64(seed))
         )
-        grid = (
-            _single_grid(config.single_nodes)
-            if kind == "single"
-            else _pair_grid(config.pair_cells)
-        )
-        return grid.moments(counts[None, :])[0]
-    samples = np.empty((ys.shape[0], ncomp))
-    for i, y in enumerate(ys):
-        samples[i] = _y_to_simplex(y)
-    if kind == "single":
-        theta = samples[:, 0]
-        return np.array(
-            [theta.mean(), (theta * theta).mean(), phi_of_theta(theta).mean()]
-        )
-    t0, t1, t2, t3 = samples.T
-    ti, tj = t0 + t1, t0 + t2
-    phi = phi_joint_of_theta_joint(samples)
-    return np.array(
-        [
+        t0, t1, t2, t3 = samples.T
+        ti, tj = t0 + t1, t0 + t2
+        phi = phi_joint_of_theta_joint(samples)
+        out[r] = [
             t0.mean(), t1.mean(), t2.mean(), t3.mean(),
             phi[:, 0].mean(), phi[:, 1].mean(), phi[:, 2].mean(), phi[:, 3].mean(),
             (ti * tj).mean(), ti.mean(), tj.mean(),
         ]
-    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +433,12 @@ class MomentEngine:
     def __init__(self, config: MomentConfig = DEFAULT_CONFIG):
         self.config = config
 
-    # -- array paths ------------------------------------------------------
-
     def single_block(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,4) -> (K,3) moment rows [theta, theta_sq, phi]."""
         counts = np.ascontiguousarray(counts, dtype=float)
         if counts.shape[0] == 0:
             return np.zeros((0, 3))
-        if self.config.backend == "quadrature":
-            out = _single_grid(self.config.single_nodes).moments(counts)
-        else:
-            out = np.stack(
-                [_mcmc_with_fallback("single", row, self.config) for row in counts]
-            )
+        out = _single_grid().moments(counts)
         # exact symmetry: with no sign information the posterior is even
         # about 1/2, so the mean is 1/2 identically
         symmetric = (counts[:, 0] == 0.0) & (counts[:, 1] == 0.0)
@@ -529,15 +457,7 @@ class MomentEngine:
         factorized = np.all(counts[:, :8] == 0.0, axis=1)
         full = ~factorized
         if np.any(full):
-            if self.config.backend == "quadrature":
-                out[full] = _pair_grid(self.config.pair_cells).moments(counts[full])
-            else:
-                out[full] = np.stack(
-                    [
-                        _mcmc_with_fallback("pair", row, self.config)
-                        for row in counts[full]
-                    ]
-                )
+            out[full] = _pair_grid(self.config.pair_cells).moments(counts[full])
         if np.any(factorized):
             out[factorized] = self._factorized_rows(counts[factorized])
         return out
@@ -565,32 +485,24 @@ class MomentEngine:
         out[:, 10] = tj
         return out
 
-    # -- per-tally conveniences --------------------------------------------
-
-    def single_moments(self, tally: SingleTally) -> SingleMoments:
-        row = self.single_block(tally.as_array()[None, :])[0]
-        return SingleMoments(theta=row[0], theta_sq=row[1], phi=row[2])
-
-    def pair_moments(self, tally: PairTally) -> PairMoments:
-        row = self.pair_block(tally.as_array()[None, :])[0]
-        return PairMoments(
-            theta_joint=tuple(row[0:4]),
-            phi_joint=tuple(row[4:8]),
-            theta_prod=row[8],
-            theta_i=row[9],
-            theta_j=row[10],
-        )
-
 
 def single_moments(
     tally: SingleTally, config: MomentConfig = DEFAULT_CONFIG
 ) -> SingleMoments:
     """Posterior means of theta, theta^2, phi for one term."""
-    return MomentEngine(config).single_moments(tally)
+    row = MomentEngine(config).single_block(tally.as_array()[None, :])[0]
+    return SingleMoments(theta=row[0], theta_sq=row[1], phi=row[2])
 
 
 def pair_moments(
     tally: PairTally, config: MomentConfig = DEFAULT_CONFIG
 ) -> PairMoments:
     """Posterior means of the joint-outcome functionals for one commuting pair."""
-    return MomentEngine(config).pair_moments(tally)
+    row = MomentEngine(config).pair_block(tally.as_array()[None, :])[0]
+    return PairMoments(
+        theta_joint=tuple(row[0:4]),
+        phi_joint=tuple(row[4:8]),
+        theta_prod=row[8],
+        theta_i=row[9],
+        theta_j=row[10],
+    )

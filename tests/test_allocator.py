@@ -9,6 +9,7 @@ from doubleshot.allocator import (
     AllocationConfig,
     MeasurementAction,
     _FastLoop,
+    _lockstep,
     choose_action,
     cohort_size,
     run_allocation,
@@ -209,9 +210,8 @@ class TestChooseAction:
         led = TallyLedger(obs)
         led.record(ShotOutcome(kind="group", values={0: 1, 1: -1, 2: 1}))
         config = AllocationConfig(budget=50)
-        engine = MomentEngine()
-        first = choose_action(led, obs, cover, config, engine)
-        second = choose_action(led, obs, cover, config, engine)
+        first = choose_action(led, obs, cover, config)
+        second = choose_action(led, obs, cover, config)
         assert first == second
 
     def test_picks_variance_argmin(self):
@@ -223,7 +223,7 @@ class TestChooseAction:
         for _ in range(6):
             led.record(sample_group_shot(state, obs, cover.groups[0], rng))
         config = AllocationConfig(budget=100)
-        chosen = choose_action(led, obs, cover, config, engine)
+        chosen = choose_action(led, obs, cover, config)
         candidates = [
             MeasurementAction(kind="group", group=g)
             for g in range(cover.num_groups)
@@ -352,7 +352,7 @@ class TestRunAllocation:
         rng = np.random.default_rng(config.seed)
         led = TallyLedger(obs)
         for row in result.trace:
-            action = choose_action(led, obs, cover, config, engine)
+            action = choose_action(led, obs, cover, config)
             assert (action.kind, action.group) == (row.kind, row.group)
             hypo = virtual_update(led, action, cover, engine)
             assert estimate(hypo, obs, engine).variance == pytest.approx(
@@ -408,7 +408,8 @@ class TestRunAllocation:
         state = ground_state(obs)
         config = AllocationConfig(budget=30, seed=2)
         engine = MomentEngine(config.moments)
-        loop = _FastLoop(obs, cover, engine, enable_double=True)
+        loop = _FastLoop(obs, cover, enable_double=True)
+        _lockstep([loop.start()], engine)
         rng = np.random.default_rng(config.seed)
         actions = [MeasurementAction(kind="group", group=g)
                    for g in range(cover.num_groups)]
@@ -429,7 +430,7 @@ class TestRunAllocation:
             else:
                 action = MeasurementAction(kind="group", group=step)
                 outcome = sample_group_shot(state, obs, cover.groups[step], rng)
-            loop.record(outcome, action)
+            _lockstep([loop.recorded(outcome, action)], engine)
 
     def test_zero_term_observable_takes_no_shots(self):
         obs = parse_observable("0.5 II")
@@ -522,6 +523,18 @@ class TestRunAllocation:
         with pytest.raises(NumericalError) as excinfo:
             run_allocations(obs, state, cover, configs)
         assert excinfo.value.partial_trace == lone[first][1]
+
+    def test_configs_must_share_moments(self):
+        # one engine serves every run of a call, so the configs may not ask
+        # for different moment settings
+        obs, cover, state = toy_problem()
+        configs = [
+            AllocationConfig(budget=5, seed=0),
+            AllocationConfig(budget=5, seed=1, moments=MomentConfig.oracle()),
+        ]
+        with pytest.raises(InvalidInputError):
+            run_allocations(obs, state, cover, configs)
+        assert len(run_allocations(obs, state, cover, configs[1:])) == 1
 
     def test_cohort_size_follows_the_observable(self):
         wide = build_ising(random_ising_spec(2, 5, np.random.default_rng(7)))

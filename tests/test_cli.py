@@ -316,6 +316,24 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ground_state_energy"] == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_max_qubits_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        # rejected while parsing, also where no width check would read it:
+        # an amplitude-file state with no two-copy shots
+        state = tmp_path / "state.txt"
+        state.write_text("1 0\n0 0\n0 0\n0 0\n")
+        for argv in (
+            ("estimate", "--builtin", "toy-fig1", "--budget", "4"),
+            ("estimate", "--builtin", "toy-fig1", "--budget", "4",
+             "--state", str(state), "--no-double"),
+            ("calibrate", "--builtin", "toy-fig1", "--budget", "4", "--reps", "2",
+             "--out", str(tmp_path / "c.csv")),
+            ("reference", "--builtin", "toy-fig1"),
+        ):
+            assert run_cli(*argv, "--max-qubits", value) == 2, argv
+            assert "--max-qubits" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_numerical_failure_exit_code(self, monkeypatch):
         def boom(args):
             raise NumericalError("injected")

@@ -31,7 +31,7 @@ from doubleshot.experiments import (
 )
 from doubleshot.ledger import EstimateReport, TallyLedger
 from doubleshot.pauli import parse_observable
-from doubleshot.posterior import MomentConfig, MomentEngine
+from doubleshot.posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
 
 
@@ -51,7 +51,6 @@ class TestExperimentSpec:
         spec = toy_spec()
         assert spec.state_source == GROUND_STATE_SOURCE
         assert spec.enable_double is True
-        assert spec.backend == "quadrature"
         assert spec.budgets == (8,)
 
     def test_budgets_coerced_to_ints(self):
@@ -76,16 +75,6 @@ class TestExperimentSpec:
             toy_spec(budgets=(10, 10))
         with pytest.raises(InvalidInputError):
             toy_spec(budgets=(10, 5))
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(InvalidInputError):
-            toy_spec(backend="exact")
-
-    def test_moment_config_carries_backend(self):
-        assert toy_spec().moment_config() == MomentConfig(backend="quadrature")
-        assert toy_spec(backend="mcmc").moment_config() == MomentConfig(
-            backend="mcmc"
-        )
 
 
 class TestResolvers:
@@ -136,7 +125,7 @@ class TestResolvers:
 
 
 class TestRunRepetitions:
-    def _run(self, engine=None):
+    def _run(self, moments=DEFAULT_CONFIG):
         obs = resolve_observable("builtin:toy-fig1")
         state = ground_state(obs)
         cover = cover_for(obs)
@@ -148,8 +137,7 @@ class TestRunRepetitions:
             repetitions=3,
             enable_double=True,
             base_seed=0,
-            moments=MomentConfig(),
-            engine=engine,
+            moments=moments,
         )
 
     def test_returns_one_result_per_repetition(self):
@@ -158,11 +146,11 @@ class TestRunRepetitions:
         assert all(r.ledger.effective_shots == 10 for r in results)
 
     def test_deterministic_and_engine_invariant(self):
-        from doubleshot.posterior import MomentEngine
-
+        # the engine is built from the moment settings by value: an equal
+        # config built anew gives the same bits
         first = self._run()
         second = self._run()
-        shared = self._run(engine=MomentEngine(MomentConfig()))
+        shared = self._run(MomentConfig(pair_cells=16))
         for a, b, c in zip(first, second, shared):
             assert a.report.mean == b.report.mean == c.report.mean
             assert a.report.variance == b.report.variance == c.report.variance
@@ -197,13 +185,11 @@ class TestRunRepetitionsMemory:
         obs = resolve_observable("builtin:ising-1x2")
         state = ground_state(obs)
         cover = cover_for(obs)
-        engine = MomentEngine(MomentConfig())
 
         def run(reps):
             run_repetitions(
                 obs, state, cover, budget=40, repetitions=reps,
                 enable_double=True, base_seed=0, moments=MomentConfig(),
-                engine=engine,
             )
 
         def held(reps):

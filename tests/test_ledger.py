@@ -260,7 +260,7 @@ class TestEstimate:
         obs = toy_obs()
         led = TallyLedger(obs)
         led.record(group({3: 1, 4: 1}))
-        report = estimate(led, obs, config=ORACLE)
+        report = estimate(led, obs, MomentEngine(ORACLE))
         # Terms 3 and 4 each have one +1 count: theta = 2/3, so the mean is
         # 2 * (2 * 2/3 - 1) = 2/3; the unmeasured terms sit at theta = 1/2.
         assert report.mean == pytest.approx(2.0 / 3.0, abs=1e-6)

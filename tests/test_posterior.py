@@ -13,6 +13,7 @@ from doubleshot.posterior import (
     MomentEngine,
     PairTally,
     SingleTally,
+    mcmc_pair_block,
     mcmc_sample,
     pair_moments,
     phi_joint_of_theta_joint,
@@ -22,7 +23,6 @@ from doubleshot.posterior import (
 
 ORACLE = MomentConfig.oracle()
 DEFAULT = MomentConfig()
-MCMC = MomentConfig(backend="mcmc")
 
 counts_st = st.floats(min_value=0, max_value=40, allow_nan=False)
 int_counts_st = st.integers(min_value=0, max_value=60)
@@ -178,8 +178,6 @@ class TestPairMoments:
 
     def test_default_grid_tracks_oracle(self):
         rng = np.random.default_rng(0)
-        oracle_engine = MomentEngine(ORACLE)
-        default_engine = MomentEngine(DEFAULT)
         worst = 0.0
         for _ in range(12):
             tally = PairTally(
@@ -188,8 +186,8 @@ class TestPairMoments:
                 tuple(rng.integers(0, 8, 2).tolist()),
                 tuple(rng.integers(0, 8, 2).tolist()),
             )
-            a = oracle_engine.pair_moments(tally)
-            b = default_engine.pair_moments(tally)
+            a = pair_moments(tally, ORACLE)
+            b = pair_moments(tally, DEFAULT)
             drift = max(
                 np.abs(np.subtract(a.theta_joint, b.theta_joint)).max(),
                 np.abs(np.subtract(a.phi_joint, b.phi_joint)).max(),
@@ -212,12 +210,6 @@ class TestPairMoments:
 
 
 class TestMomentEngineCaching:
-    def test_value_keyed_reuse(self):
-        engine = MomentEngine(DEFAULT)
-        a = engine.single_moments(SingleTally(2, 1, 0, 0))
-        b = engine.single_moments(SingleTally(2, 1, 0, 0))
-        assert a == b
-
     def test_block_matches_per_tally(self):
         engine = MomentEngine(DEFAULT)
         tallies = [SingleTally(2, 1, 0, 0), SingleTally(0, 0, 3, 1)]
@@ -225,7 +217,7 @@ class TestMomentEngineCaching:
             np.array([t.as_array() for t in tallies])
         )
         for row, tally in zip(block, tallies):
-            m = engine.single_moments(tally)
+            m = single_moments(tally, DEFAULT)
             assert row[0] == m.theta
             assert row[1] == m.theta_sq
             assert row[2] == m.phi
@@ -279,50 +271,30 @@ class TestMcmc:
         # +-0.01 is roughly a 1-sigma band for the default chain length, so
         # a fixed, typical seed keeps this deterministic.
         rng = np.random.default_rng(3)
-        samples = mcmc_sample(lambda t: 0.0, 4, DEFAULT, rng)
+        samples = mcmc_sample(lambda t: 0.0, 4, rng)
         assert samples.shape[1] == 4
         assert np.allclose(samples.mean(axis=0), [0.25] * 4, atol=0.01)
 
     def test_linear_density_on_unit_interval(self):
         rng = np.random.default_rng(1)
         samples = mcmc_sample(
-            lambda t: math.log(max(t[0], 1e-300)), 2, DEFAULT, rng
+            lambda t: math.log(max(t[0], 1e-300)), 2, rng
         )
         assert samples[:, 0].mean() == pytest.approx(2 / 3, abs=0.01)
 
     def test_pair_tally_matches_quadrature(self):
-        tally = PairTally((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0))
-        q = pair_moments(tally, ORACLE)
-        m = pair_moments(tally, MCMC)
-        assert np.allclose(m.theta_joint, q.theta_joint, atol=1e-2)
-        assert np.allclose(m.phi_joint, q.phi_joint, atol=1e-2)
-        assert m.theta_prod == pytest.approx(q.theta_prod, abs=1e-2)
-
-    def test_single_tally_matches_quadrature(self):
-        tally = SingleTally(5, 2, 3, 1)
-        q = single_moments(tally, DEFAULT)
-        m = single_moments(tally, MCMC)
-        assert m.theta == pytest.approx(q.theta, abs=1e-2)
-        assert m.theta_sq == pytest.approx(q.theta_sq, abs=1e-2)
-        assert m.phi == pytest.approx(q.phi, abs=1e-2)
+        row = PairTally((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0)).as_array()[None, :]
+        q = MomentEngine(ORACLE).pair_block(row)[0]
+        m = mcmc_pair_block(row)[0]
+        assert np.allclose(m[0:4], q[0:4], atol=1e-2)  # theta_joint
+        assert np.allclose(m[4:8], q[4:8], atol=1e-2)  # phi_joint
+        assert m[8] == pytest.approx(q[8], abs=1e-2)  # theta_prod
 
     def test_deterministic_given_config(self):
-        tally = PairTally((2, 0, 1, 0), (1, 1, 0, 0), (2, 1), (0, 0))
-        a = pair_moments(tally, MCMC)
-        b = pair_moments(tally, MCMC)
-        assert a == b
-
-    def test_acceptance_failure_falls_back_to_quadrature(self):
-        bad = MomentConfig(
-            backend="mcmc",
-            mcmc_target_band=(0.96, 0.99),
-            mcmc_band_margin=0.0,
-            mcmc_burn_in=200,
-            mcmc_samples=500,
-        )
-        tally = PairTally((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0))
-        with pytest.warns(RuntimeWarning):
-            m = pair_moments(tally, bad)
-        q = pair_moments(tally, MomentConfig(backend="quadrature",
-                                             pair_cells=bad.pair_cells))
-        assert np.allclose(m.theta_joint, q.theta_joint, atol=1e-12)
+        # the chain settings are fixed and each row seeds its own chain, so
+        # a row gets the same moments again, alone or in a batch
+        row = PairTally((2, 0, 1, 0), (1, 1, 0, 0), (2, 1), (0, 0)).as_array()
+        other = PairTally((1, 0, 0, 1), (0,) * 4, (0, 0), (1, 0)).as_array()
+        a = mcmc_pair_block(row[None, :])
+        b = mcmc_pair_block(np.stack([other, row]))
+        assert np.array_equal(a[0], b[1])
