@@ -10,14 +10,16 @@ variance is executed for real, and the loop repeats until the effective
 budget (group shots count 1, double shots 2) cannot fund any action.
 
 The run loop keeps, for every term and pair, the variance contribution of
-its real row and of each virtual row a candidate can give it, and after an
-executed action evaluates again only the rows that action changed: a group
-shot's members and the pairs touching them, or every row after a double
-shot.  A candidate's prediction is the real contributions with its virtual
-ones in their place.  The moment engine gives a row the same bits in any
-batch, so the predictions are bit-identical to rebuilding each hypothetical
-ledger and calling estimate() on it, which is what virtual_update and
-choose_action do and what the tests cross-check.
+its real row and of each virtual row a candidate can give it (its variants),
+and after an executed action evaluates again only the rows that action
+changed: a group shot's members and the pairs touching them, or every row
+after a double shot.  A candidate is one pick of a variant per row, so all
+candidates are one pick matrix per table, and their predictions are the
+picked contributions gathered and summed row by row.  The moment engine
+gives a row the same bits in any batch, and a row sum of the gathered matrix
+the same bits as np.sum of that row, so the predictions are bit-identical to
+rebuilding each hypothetical ledger and calling estimate() on it, which is
+what virtual_update and choose_action do and what the tests cross-check.
 
 A run is a generator of moment requests, and run_allocations advances a
 cohort of runs in lockstep: each re-evaluation phase (real single rows, real
@@ -92,6 +94,10 @@ class AllocationConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise InvalidInputError(f"budget must be >= 1, got {self.budget}")
+        if self.max_qubits < 1:
+            raise InvalidInputError(
+                f"max_qubits must be >= 1, got {self.max_qubits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,44 +120,24 @@ class AllocationResult:
     trace: tuple[TraceRow, ...] = field(repr=False)
 
 
-class _GroupIndex:
-    """Static index of which tallies one group's virtual shot touches.
+# Variants: the rows of _FastLoop's contribution tables and the values of its
+# pick matrices (real row; row after a virtual group or double shot).
+_REAL = 0
+_GROUP, _TERM_DOUBLE = 1, 2
+_BOTH, _ISIDE, _JSIDE, _PAIR_DOUBLE = 1, 2, 3, 4
 
-    Pairs with both terms in the group are `both`; pairs with only the lower
-    or only the higher term in it are `iside` and `jside`.
-    """
 
-    def __init__(self, ledger: TallyLedger, members):
-        self.members = np.asarray(sorted(members), dtype=np.intp)
-        mset = set(members)
-        k_both, k_i, k_j = [], [], []
-        seen = set()
-        for t in members:
-            for k in ledger.pairs_touching[t].tolist():
-                if k in seen:
-                    continue
-                seen.add(k)
-                i, j = ledger.pair_keys[k]
-                if i in mset and j in mset:
-                    k_both.append(k)
-                elif i in mset:
-                    k_i.append(k)
-                else:
-                    k_j.append(k)
-        self.both = np.asarray(k_both, dtype=np.intp)
-        self.iside = np.asarray(k_i, dtype=np.intp)
-        self.jside = np.asarray(k_j, dtype=np.intp)
-        self.touched = np.concatenate([self.both, self.iside, self.jside])
-
-    def virtual_rows(self, ledger: TallyLedger, smom, pmom):
-        """Hypothetical single and pair rows after one shot of this group."""
-        vs = _group_single_rows(ledger, smom, self.members)
-        vp = np.concatenate([
-            _both_pair_rows(ledger, pmom, self.both),
-            _iside_pair_rows(ledger, smom, self.iside),
-            _jside_pair_rows(ledger, smom, self.jside),
-        ])
-        return vs, vp
+def _partition(ledger: TallyLedger, members):
+    """A group shot's member terms, and its pairs by side: both, i only, j only."""
+    held = np.zeros(ledger.num_terms, dtype=bool)
+    held[np.asarray(members, dtype=np.intp)] = True
+    hi, hj = held[ledger.pair_i], held[ledger.pair_j]
+    return (
+        np.flatnonzero(held),
+        np.flatnonzero(hi & hj),
+        np.flatnonzero(hi & ~hj),
+        np.flatnonzero(~hi & hj),
+    )
 
 
 # Virtual rows, one function per way an action can change a row.  Each takes
@@ -210,14 +196,6 @@ def _double_pair_rows(ledger: TallyLedger, pmom, ks):
     return vp
 
 
-def _double_virtual_rows(ledger: TallyLedger, smom, pmom):
-    """Hypothetical rows after half an expectation-valued double shot."""
-    return (
-        _double_single_rows(ledger, smom, np.arange(ledger.num_terms)),
-        _double_pair_rows(ledger, pmom, np.arange(ledger.num_pairs)),
-    )
-
-
 def _full_moments(ledger: TallyLedger, engine: MomentEngine):
     smom = engine.single_block(ledger.singles)
     pmom = (
@@ -243,15 +221,14 @@ def virtual_update(
     smom, pmom = _full_moments(ledger, engine)
     out = ledger.copy()
     if action.kind == "group":
-        gi = _GroupIndex(ledger, cover.groups[action.group])
-        vs, vp = gi.virtual_rows(ledger, smom, pmom)
-        out.singles[gi.members] = vs
-        if gi.touched.size:
-            out.pairs[gi.touched] = vp
+        terms, both, iside, jside = _partition(ledger, cover.groups[action.group])
+        out.singles[terms] = _group_single_rows(ledger, smom, terms)
+        out.pairs[both] = _both_pair_rows(ledger, pmom, both)
+        out.pairs[iside] = _iside_pair_rows(ledger, smom, iside)
+        out.pairs[jside] = _jside_pair_rows(ledger, smom, jside)
     else:
-        vs, vp = _double_virtual_rows(ledger, smom, pmom)
-        out.singles = vs
-        out.pairs = vp
+        out.singles = _double_single_rows(ledger, smom, np.arange(ledger.num_terms))
+        out.pairs = _double_pair_rows(ledger, pmom, np.arange(ledger.num_pairs))
     return out
 
 
@@ -299,16 +276,18 @@ def choose_action(
 class _FastLoop:
     """Candidate evaluation that re-evaluates only the rows an action changed.
 
-    Every term keeps three variance contributions: from its real row, from
-    its row after a virtual group shot, and from its row after a virtual
-    double shot.  Every pair keeps five: real, after a group shot holding
-    both terms, only term i, only term j, and after a double shot.  A group's
-    virtual rows depend only on the row and on which of its terms the group
-    holds, not on the group, so these tables serve every candidate.  A real
-    group shot changes its members' rows and every pair row touching them;
-    a real double shot changes every row.  After an action only those rows'
-    moments and contributions are evaluated again.  Double-shot variants are
-    kept only when double shots are enabled.
+    `term` and `pair` hold variance contributions, one row per variant, one
+    column per tally row: a term's real row, its row after a virtual group
+    shot and after a virtual double shot; a pair's real row, after a group
+    shot holding both terms, only term i or only term j, and after a double
+    shot.  A group's virtual rows depend only on the row and on which of its
+    terms the group holds, so the tables serve every candidate.  A candidate
+    (groups by index, then double) is one row of `term_pick` and
+    `pair_pick`, one pick of a variant per tally row, and its prediction is
+    the sum of the picked contributions.  A real shot changes the rows its
+    picks move off _REAL; only those are evaluated again, and of the group
+    pair variants only those some candidate picks (`needed`).  Double-shot
+    variants are kept only when double shots are enabled.
 
     The evaluations are generators of moment requests, which the caller
     serves (see _lockstep): start() for the fresh ledger, recorded() after a
@@ -319,19 +298,24 @@ class _FastLoop:
         self.enable_double = enable_double
         self.coeff = obs.coefficients()
         self.ledger = led = TallyLedger(obs)
-        self.groups = [_GroupIndex(led, g) for g in cover.groups]
-        p, q = led.num_terms, led.num_pairs
+        p, q, g = led.num_terms, led.num_pairs, cover.num_groups
         self.smom = np.zeros((p, 3))
         self.pmom = np.zeros((q, 11))
-        self.term = {v: np.zeros(p) for v in ("real", "group", "double")}
-        self.pair = {
-            v: np.zeros(q) for v in ("real", "both", "iside", "jside", "double")
-        }
-        # pair variants some group can produce; the others are never read
-        self.needed = {v: np.zeros(q, dtype=bool) for v in ("both", "iside", "jside")}
-        for gi in self.groups:
-            for v in self.needed:
-                self.needed[v][getattr(gi, v)] = True
+        self.term = np.zeros((3, p))
+        self.pair = np.zeros((5, q))
+        self.term_pick = np.full((g + 1, p), _REAL, dtype=np.int8)
+        self.pair_pick = np.full((g + 1, q), _REAL, dtype=np.int8)
+        for c, members in enumerate(cover.groups):
+            terms, both, iside, jside = _partition(led, members)
+            self.term_pick[c, terms] = _GROUP
+            self.pair_pick[c, both] = _BOTH
+            self.pair_pick[c, iside] = _ISIDE
+            self.pair_pick[c, jside] = _JSIDE
+        self.term_pick[g] = _TERM_DOUBLE
+        self.pair_pick[g] = _PAIR_DOUBLE
+        # pair variants some group picks; the others are never read
+        self.needed = np.zeros((5, q), dtype=bool)
+        self.needed[self.pair_pick[:g], np.arange(q)] = True
         self.variance = None
 
     def start(self):
@@ -344,8 +328,10 @@ class _FastLoop:
         """Fold a real shot into the ledger; moment requests for what it changed."""
         self.ledger.record(outcome)
         if action.kind == "group":
-            gi = self.groups[action.group]
-            return self._update(gi.members, gi.touched)
+            return self._update(
+                np.flatnonzero(self.term_pick[action.group]),
+                np.flatnonzero(self.pair_pick[action.group]),
+            )
         return self.start()
 
     def _update(self, terms: np.ndarray, ks: np.ndarray):
@@ -357,30 +343,30 @@ class _FastLoop:
         led, coeff = self.ledger, self.coeff
         self.smom[terms] = yield "single", led.singles[terms]
         self.pmom[ks] = yield "pair", led.pairs[ks]
-        self.term["real"][terms] = term_contributions(coeff[terms], self.smom[terms])
+        self.term[_REAL, terms] = term_contributions(coeff[terms], self.smom[terms])
         joint = joint_mask(led.pairs[ks])
-        self.pair["real"][ks] = self._pair_contributions(
+        self.pair[_REAL, ks] = self._pair_contributions(
             ks, joint, self.pmom[ks[joint]]
         )
 
-        term_rows = {"group": _group_single_rows(led, self.smom, terms)}
-        pair_ks = {v: ks[self.needed[v][ks]] for v in self.needed}
+        term_rows = {_GROUP: _group_single_rows(led, self.smom, terms)}
+        pair_ks = {v: ks[self.needed[v, ks]] for v in (_BOTH, _ISIDE, _JSIDE)}
         pair_rows = {
-            "both": _both_pair_rows(led, self.pmom, pair_ks["both"]),
-            "iside": _iside_pair_rows(led, self.smom, pair_ks["iside"]),
-            "jside": _jside_pair_rows(led, self.smom, pair_ks["jside"]),
+            _BOTH: _both_pair_rows(led, self.pmom, pair_ks[_BOTH]),
+            _ISIDE: _iside_pair_rows(led, self.smom, pair_ks[_ISIDE]),
+            _JSIDE: _jside_pair_rows(led, self.smom, pair_ks[_JSIDE]),
         }
         if self.enable_double:
-            term_rows["double"] = _double_single_rows(led, self.smom, terms)
-            pair_ks["double"] = ks
-            pair_rows["double"] = _double_pair_rows(led, self.pmom, ks)
+            term_rows[_TERM_DOUBLE] = _double_single_rows(led, self.smom, terms)
+            pair_ks[_PAIR_DOUBLE] = ks
+            pair_rows[_PAIR_DOUBLE] = _double_pair_rows(led, self.pmom, ks)
 
         # one request per kind; of the pair rows only the jointly measured
         # go in, since the others contribute exactly zero
         ms = yield "single", np.concatenate(list(term_rows.values()))
         for pos, v in enumerate(term_rows):
             rows = ms[pos * terms.size : (pos + 1) * terms.size]
-            self.term[v][terms] = term_contributions(coeff[terms], rows)
+            self.term[v, terms] = term_contributions(coeff[terms], rows)
         joint = {v: joint_mask(rows) for v, rows in pair_rows.items()}
         mp = yield "pair", np.concatenate(
             [rows[joint[v]] for v, rows in pair_rows.items()]
@@ -388,13 +374,13 @@ class _FastLoop:
         at = 0
         for v in pair_rows:
             n = int(np.count_nonzero(joint[v]))
-            self.pair[v][pair_ks[v]] = self._pair_contributions(
+            self.pair[v, pair_ks[v]] = self._pair_contributions(
                 pair_ks[v], joint[v], mp[at : at + n]
             )
             at += n
 
         self.variance = clamped_variance(
-            float(np.sum(self.term["real"]) + np.sum(self.pair["real"]))
+            float(np.sum(self.term[_REAL]) + np.sum(self.pair[_REAL]))
         )
 
     def _pair_contributions(self, ks, joint, mom):
@@ -406,21 +392,16 @@ class _FastLoop:
         )
 
     def predict(self, actions: list[MeasurementAction]) -> list[float]:
-        """Predicted variance per candidate, assembled from the tables."""
-        out = []
-        for action in actions:
-            if action.kind == "group":
-                gi = self.groups[action.group]
-                tc = self.term["real"].copy()
-                tc[gi.members] = self.term["group"][gi.members]
-                pc = self.pair["real"].copy()
-                for v in ("both", "iside", "jside"):
-                    ks = getattr(gi, v)
-                    pc[ks] = self.pair[v][ks]
-            else:
-                tc, pc = self.term["double"], self.pair["double"]
-            out.append(clamped_variance(float(np.sum(tc) + np.sum(pc))))
-        return out
+        """Predicted variance per candidate: its picked contributions, summed."""
+        total = (
+            np.take_along_axis(self.term, self.term_pick, axis=0).sum(axis=1)
+            + np.take_along_axis(self.pair, self.pair_pick, axis=0).sum(axis=1)
+        )
+        double = len(total) - 1
+        return [
+            clamped_variance(float(total[double if a.kind == "double" else a.group]))
+            for a in actions
+        ]
 
 
 def _lockstep(runs: list, engine: MomentEngine) -> list:

@@ -31,13 +31,11 @@ from .experiments import (
     cover_for,
     curve_rows,
     double_usage_rows,
-    read_csv,
     reference_report,
     resolve_observable,
     resolve_state,
     trace_document,
     write_csv,
-    write_json,
 )
 from .hamiltonians import (
     BUILTIN_NAMES,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .allocator import (  # noqa: F401
     run_allocations,
 )
 from .errors import InvalidInputError
-from .hamiltonians import BUILTIN_NAMES, load_builtin
+from .hamiltonians import load_builtin
 from .ledger import EstimateReport
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
 from .posterior import DEFAULT_CONFIG, MomentConfig
@@ -94,6 +94,10 @@ class ExperimentSpec:
         if any(b >= c for b, c in zip(self.budgets, self.budgets[1:])):
             raise InvalidInputError(
                 f"budgets must be strictly increasing, got {self.budgets}"
+            )
+        if self.max_qubits < 1:
+            raise InvalidInputError(
+                f"max_qubits must be >= 1, got {self.max_qubits}"
             )
 
 
@@ -234,6 +238,13 @@ def read_csv(path) -> CsvDocument:
 # ---------------------------------------------------------------------------
 
 
+def _problem(spec: ExperimentSpec):
+    """The spec's observable, state, group cover and exact mean."""
+    obs = resolve_observable(spec.observable_source)
+    state = resolve_state(spec.state_source, obs, spec.max_qubits)
+    return obs, state, cover_for(obs), exact_mean(obs, state)
+
+
 def _scaled_variance(report: EstimateReport) -> float:
     return report.m_eff * report.variance
 
@@ -248,10 +259,7 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
     and worst runs, and the mean rescaled true squared error against the
     exact reference.
     """
-    obs = resolve_observable(spec.observable_source)
-    state = resolve_state(spec.state_source, obs, spec.max_qubits)
-    cover = cover_for(obs)
-    truth = exact_mean(obs, state)
+    obs, state, cover, truth = _problem(spec)
     rows = []
     for arm_name, arm_double in (("double_on", True), ("double_off", False)):
         for budget in spec.budgets:
@@ -323,10 +331,7 @@ def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocume
     """
     if budget is None:
         budget = spec.budgets[-1]
-    obs = resolve_observable(spec.observable_source)
-    state = resolve_state(spec.state_source, obs, spec.max_qubits)
-    cover = cover_for(obs)
-    truth = exact_mean(obs, state)
+    obs, state, cover, truth = _problem(spec)
     results = run_repetitions(
         obs,
         state,
@@ -425,9 +430,7 @@ def double_usage_rows(
     m reached by every repetition), and fits a least-squares slope over the
     window fit_min < m <= fit_max (fit_max defaults to the common maximum).
     """
-    obs = resolve_observable(spec.observable_source)
-    state = resolve_state(spec.state_source, obs, spec.max_qubits)
-    cover = cover_for(obs)
+    obs, state, cover, _ = _problem(spec)
     results = run_repetitions(
         obs,
         state,

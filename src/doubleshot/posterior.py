@@ -269,7 +269,6 @@ class _PairGrid:
         self.weighted = np.stack(
             [np.ones_like(t0), *factors[:8], ti * tj, ti, tj], axis=1
         )
-        self.npoints = t0.size
 
     def moments(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,12) -> moments (K,11)."""

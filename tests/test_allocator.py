@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleshot.allocator import (
+    _BOTH,
+    _GROUP,
+    _ISIDE,
+    _JSIDE,
+    _PAIR_DOUBLE,
+    _REAL,
+    _TERM_DOUBLE,
     AllocationConfig,
     MeasurementAction,
     _FastLoop,
@@ -70,6 +77,12 @@ class TestAllocationConfig:
             AllocationConfig(budget=0)
         with pytest.raises(InvalidInputError):
             AllocationConfig(budget=-5)
+
+    def test_max_qubits_must_be_positive(self):
+        with pytest.raises(InvalidInputError):
+            AllocationConfig(budget=6, max_qubits=-3, enable_double=False)
+        with pytest.raises(InvalidInputError):
+            AllocationConfig(budget=6, max_qubits=0)
 
     def test_defaults(self):
         config = AllocationConfig(budget=10)
@@ -176,6 +189,41 @@ class TestVirtualUpdate:
         )
         assert hypo.shots_taken == 0
         assert hypo.double_shots == 0
+
+
+class TestPickMatrix:
+    @pytest.mark.parametrize(
+        "name", ["toy-fig1", "ising-1x2", "ising-2x2", "ising-2x3"]
+    )
+    def test_picks_match_brute_force(self, name):
+        obs = load_builtin(name)
+        cover = cover_for(obs)
+        loop = _FastLoop(obs, cover, enable_double=True)
+        led = loop.ledger
+        g = cover.num_groups
+        assert loop.term_pick.shape == (g + 1, led.num_terms)
+        assert loop.pair_pick.shape == (g + 1, led.num_pairs)
+        for c, members in enumerate(cover.groups):
+            held = set(members)
+            for t in range(led.num_terms):
+                want = _GROUP if t in held else _REAL
+                assert loop.term_pick[c, t] == want
+            for k, (i, j) in enumerate(led.pair_keys):
+                if i in held and j in held:
+                    want = _BOTH
+                elif i in held:
+                    want = _ISIDE
+                elif j in held:
+                    want = _JSIDE
+                else:
+                    want = _REAL
+                assert loop.pair_pick[c, k] == want
+        assert np.all(loop.term_pick[g] == _TERM_DOUBLE)
+        assert np.all(loop.pair_pick[g] == _PAIR_DOUBLE)
+        for v in (_BOTH, _ISIDE, _JSIDE):
+            assert np.array_equal(
+                loop.needed[v], (loop.pair_pick[:g] == v).any(axis=0)
+            )
 
 
 class TestChooseAction:

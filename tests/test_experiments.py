@@ -70,6 +70,12 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInputError):
             toy_spec(budgets=(0, 5))
 
+    def test_rejects_non_positive_max_qubits(self):
+        with pytest.raises(InvalidInputError):
+            toy_spec(max_qubits=0)
+        with pytest.raises(InvalidInputError):
+            toy_spec(max_qubits=-3)
+
     def test_rejects_non_increasing_budgets(self):
         with pytest.raises(InvalidInputError):
             toy_spec(budgets=(10, 10))
