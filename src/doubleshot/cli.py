@@ -32,6 +32,7 @@ from .experiments import (
     curve_rows,
     double_usage_rows,
     reference_report,
+    rep_seed,
     resolve_observable,
     resolve_state,
     trace_document,
@@ -76,24 +77,28 @@ def _add_observable_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
+def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state",
         default=GROUND_STATE_SOURCE,
         metavar="SOURCE",
         help="'ground-state' (default) or an amplitude file",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument(
-        "--no-double",
-        action="store_true",
-        help="never assign shots to the two-copy scheme",
-    )
     parser.add_argument(
         "--max-qubits",
         type=_width_cap,
         default=DEFAULT_MAX_QUBITS,
         help=f"dense-simulation width cap (default {DEFAULT_MAX_QUBITS})",
+    )
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    _add_state_args(parser)
+    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument(
+        "--no-double",
+        action="store_true",
+        help="never assign shots to the two-copy scheme",
     )
 
 
@@ -107,7 +112,7 @@ def _experiment_spec(args, budgets) -> ExperimentSpec:
     return ExperimentSpec(
         observable_source=_observable_source(args),
         budgets=tuple(budgets),
-        repetitions=getattr(args, "reps", 1),
+        repetitions=args.reps,
         state_source=args.state,
         enable_double=not args.no_double,
         base_seed=args.seed,
@@ -158,14 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact mean, per-term probabilities, ground energy (JSON)",
     )
     _add_observable_args(p)
-    p.add_argument(
-        "--state",
-        default=GROUND_STATE_SOURCE,
-        help="'ground-state' (default) or an amplitude file",
-    )
-    p.add_argument(
-        "--max-qubits", type=_width_cap, default=DEFAULT_MAX_QUBITS
-    )
+    _add_state_args(p)
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_reference)
 
@@ -278,7 +276,7 @@ def _cmd_estimate(args) -> int:
     config = AllocationConfig(
         budget=args.budget,
         enable_double=not args.no_double,
-        seed=(args.seed, 0),
+        seed=rep_seed(args.seed, 0),
         max_qubits=args.max_qubits,
     )
     result = run_allocation(obs, state, cover, config)

@@ -34,12 +34,12 @@ from .allocator import (  # noqa: F401
 )
 from .errors import InvalidInputError
 from .hamiltonians import load_builtin
-from .ledger import EstimateReport
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
 from .posterior import DEFAULT_CONFIG, MomentConfig
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _check_cap,
     exact_mean,
     exact_theta,
     ground_energy,
@@ -111,11 +111,15 @@ def resolve_observable(source: str) -> Observable:
 def resolve_state(
     source: str, obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
-    """Resolve ``ground-state`` (of *obs*) or an amplitude file."""
+    """Resolve ``ground-state`` (of *obs*) or an amplitude file.
+
+    Either way *obs* wider than *max_qubits* raises ResourceLimitError
+    before any state is built or read.
+    """
+    _check_cap(obs.width, max_qubits)
     if source == GROUND_STATE_SOURCE:
         return ground_state(obs, max_qubits)
-    state = load_state_file(source, width=obs.width)
-    return state
+    return load_state_file(source, width=obs.width)
 
 
 def cover_for(obs: Observable) -> GroupCover:
@@ -245,8 +249,31 @@ def _problem(spec: ExperimentSpec):
     return obs, state, cover_for(obs), exact_mean(obs, state)
 
 
-def _scaled_variance(report: EstimateReport) -> float:
-    return report.m_eff * report.variance
+def _repetitions(spec: ExperimentSpec, problem, budget: int, enable_double: bool):
+    """The spec's seeded repetitions of *problem* (from _problem) at *budget*."""
+    obs, state, cover, _ = problem
+    return run_repetitions(
+        obs,
+        state,
+        cover,
+        budget,
+        spec.repetitions,
+        enable_double,
+        spec.base_seed,
+        DEFAULT_CONFIG,
+        spec.max_qubits,
+    )
+
+
+def _provenance(spec: ExperimentSpec, *middle: str) -> tuple[str, ...]:
+    """Provenance comment lines; *middle* goes between state and base_seed."""
+    return (
+        f"observable = {spec.observable_source}",
+        f"state = {spec.state_source}",
+        *middle,
+        f"base_seed = {spec.base_seed}",
+        f"enable_double = {spec.enable_double}",
+    )
 
 
 def curve_rows(spec: ExperimentSpec) -> CsvDocument:
@@ -259,22 +286,15 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
     and worst runs, and the mean rescaled true squared error against the
     exact reference.
     """
-    obs, state, cover, truth = _problem(spec)
+    problem = _problem(spec)
+    truth = problem[3]
     rows = []
     for arm_name, arm_double in (("double_on", True), ("double_off", False)):
         for budget in spec.budgets:
-            results = run_repetitions(
-                obs,
-                state,
-                cover,
-                budget,
-                spec.repetitions,
-                enable_double=arm_double and spec.enable_double,
-                base_seed=spec.base_seed,
-                moments=DEFAULT_CONFIG,
-                max_qubits=spec.max_qubits,
+            results = _repetitions(
+                spec, problem, budget, arm_double and spec.enable_double
             )
-            scaled = np.array([_scaled_variance(r.report) for r in results])
+            scaled = np.array([r.report.m_eff * r.report.variance for r in results])
             sq_err = np.array(
                 [r.report.m_eff * (r.report.mean - truth) ** 2 for r in results]
             )
@@ -314,35 +334,22 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
             " scaled claimed variance",
             "mean_scaled_sq_error: mean over repetitions of m_eff *"
             " (estimate - exact mean)^2",
-            f"observable = {spec.observable_source}",
-            f"state = {spec.state_source}",
-            f"base_seed = {spec.base_seed}",
-            f"enable_double = {spec.enable_double}",
+            *_provenance(spec),
         ),
     )
 
 
-def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocument:
-    """Per-repetition z-scores against the exact mean at one fixed budget.
+def calibrate_rows(spec: ExperimentSpec) -> CsvDocument:
+    """Per-repetition z-scores against the exact mean at the largest budget.
 
     z = (estimate - exact mean) / sqrt(claimed variance).  Rows with zero
     claimed variance but a nonzero residual are flagged and excluded from
     the summary statistics in the bottom comments.
     """
-    if budget is None:
-        budget = spec.budgets[-1]
-    obs, state, cover, truth = _problem(spec)
-    results = run_repetitions(
-        obs,
-        state,
-        cover,
-        budget,
-        spec.repetitions,
-        enable_double=spec.enable_double,
-        base_seed=spec.base_seed,
-        moments=DEFAULT_CONFIG,
-        max_qubits=spec.max_qubits,
-    )
+    budget = spec.budgets[-1]
+    problem = _problem(spec)
+    truth = problem[3]
+    results = _repetitions(spec, problem, budget, spec.enable_double)
     rows = []
     z_values = []
     flagged_count = 0
@@ -389,11 +396,7 @@ def calibrate_rows(spec: ExperimentSpec, budget: int | None = None) -> CsvDocume
             "calibration: one z-score per repetition at a fixed budget",
             "z_score = (estimate - exact mean) / sqrt(claimed variance)",
             "flagged = 1 marks zero claimed variance with nonzero residual",
-            f"observable = {spec.observable_source}",
-            f"state = {spec.state_source}",
-            f"budget = {budget}",
-            f"base_seed = {spec.base_seed}",
-            f"enable_double = {spec.enable_double}",
+            *_provenance(spec, f"budget = {budget}"),
             f"exact_mean = {truth!r}",
         ),
         bottom_comments=(
@@ -430,18 +433,7 @@ def double_usage_rows(
     m reached by every repetition), and fits a least-squares slope over the
     window fit_min < m <= fit_max (fit_max defaults to the common maximum).
     """
-    obs, state, cover, _ = _problem(spec)
-    results = run_repetitions(
-        obs,
-        state,
-        cover,
-        spec.budgets[-1],
-        spec.repetitions,
-        enable_double=spec.enable_double,
-        base_seed=spec.base_seed,
-        moments=DEFAULT_CONFIG,
-        max_qubits=spec.max_qubits,
-    )
+    results = _repetitions(spec, _problem(spec), spec.budgets[-1], spec.enable_double)
     # Every action advances m by exactly 1, so step k of any trace has
     # m = k + 1 and trajectories align by index.
     common_m = min(len(r.trace) for r in results)
@@ -473,11 +465,7 @@ def double_usage_rows(
             "m: total shots taken (every action advances m by 1)",
             "mean_m_double: average over repetitions of pair-copy shots"
             " among the first m",
-            f"observable = {spec.observable_source}",
-            f"state = {spec.state_source}",
-            f"budget = {spec.budgets[-1]}",
-            f"base_seed = {spec.base_seed}",
-            f"enable_double = {spec.enable_double}",
+            *_provenance(spec, f"budget = {spec.budgets[-1]}"),
         ),
         bottom_comments=(
             f"fit_slope = {slope!r}",

@@ -268,6 +268,22 @@ class TestCalibrateCommand:
         float(doc.comment_value("summary_mean_z"))
         float(doc.comment_value("summary_rms_z"))
 
+    def test_estimate_is_repetition_zero(self, tmp_path, capsys):
+        # `estimate --seed S` runs stream (S, 0) alone; inside `calibrate` it
+        # is repetition 0 of a lockstep cohort, with the same bits.
+        args = ("--builtin", "ising-1x2", "--budget", "60", "--seed", "5")
+        assert run_cli("estimate", *args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        out = tmp_path / "cal.csv"
+        assert run_cli("calibrate", *args, "--reps", "2", "--out", str(out)) == 0
+        from doubleshot.experiments import read_csv
+
+        row = read_csv(out).rows[0]
+        assert float(row["estimate"]) == payload["mean"]
+        assert float(row["claimed_variance"]) == payload["variance"]
+        assert int(row["m"]) == payload["m"]
+        assert int(row["m_double"]) == payload["m_double"]
+
 
 class TestDoubleUsageCommand:
     def test_no_double_slope_is_zero(self, tmp_path):
@@ -315,6 +331,36 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ground_state_energy"] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*run, *flag)
+            for run in (
+                ("estimate", "--budget", "10"),
+                ("curve", "--budgets", "10", "--reps", "1"),
+                ("calibrate", "--budget", "10", "--reps", "1"),
+                ("double-usage", "--budget", "10", "--reps", "1"),
+            )
+            for flag in ((), ("--no-double",))
+        ]
+        + [("reference",)],
+        ids=lambda argv: argv[0] + ("-no-double" if "--no-double" in argv else ""),
+    )
+    def test_file_state_wider_than_cap_is_resource_error(self, tmp_path, argv):
+        # a 3-qubit amplitude file under --max-qubits 2: refused before the
+        # file is read, whether or not a two-copy shot would be drawn
+        obs_path = tmp_path / "obs.txt"
+        obs_path.write_text("1.0 ZZZ\n0.5 XII\n")
+        state = tmp_path / "state.txt"
+        state.write_text(f"{8 ** -0.5!r} 0\n" * 8)
+        out = tmp_path / "out"
+        code = run_cli(
+            *argv, "--observable", str(obs_path), "--state", str(state),
+            "--max-qubits", "2", "--out", str(out),
+        )
+        assert code == 4
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_max_qubits_below_one_is_a_usage_error(self, tmp_path, capsys, value):

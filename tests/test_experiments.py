@@ -442,12 +442,6 @@ class TestCalibrateRows:
 
         assert run(40) < run(10)
 
-    def test_explicit_budget_overrides_spec(self):
-        spec = toy_spec(budgets=(5, 9), repetitions=1)
-        doc = calibrate_rows(spec, budget=7)
-        assert doc.comment_value("budget") == "7"
-        assert doc.rows[0]["m"] + doc.rows[0]["m_double"] == 7
-
     def test_flagged_rows_excluded_from_summary(self, monkeypatch):
         import doubleshot.experiments as exp_mod
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
 No linter ships with the project's toolchain, so this scan stands in for
 pyflakes' F401 check: each module of ``src/doubleshot`` except
@@ -6,6 +7,11 @@ pyflakes' F401 check: each module of ``src/doubleshot`` except
 name that the module never reads fails the test.  An import statement whose
 first line carries ``# noqa: F401`` is exempt: it is kept on purpose, for
 example because code outside the package looks the name up in that module.
+
+The second scan stands in for a dead-code check: a module-level private
+function, class or constant (``_name``) that no other statement of any
+module in ``src/doubleshot`` reads, as a name, an attribute or an import,
+fails the test.
 """
 
 import ast
@@ -49,3 +55,78 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level ``_name`` functions, classes and constants, by name."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = stmt
+    return defined
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names *node* reads, as a variable, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:_name`` for each private definition no other statement reads.
+
+    A definition's own body does not count, so a private function that only
+    calls itself is dead too.
+    """
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = [
+        (stmt, referenced_names(stmt)) for tree in trees.values() for stmt in tree.body
+    ]
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree).items():
+            others = (names for stmt, names in reads if stmt is not definition)
+            if not any(name in names for names in others):
+                dead.append(f"{module}:{name}")
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_private_name():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) if n else _USED\n"
+            "def _helper():\n"
+            "    return 0\n"
+            "class _Shape:\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        "b": "from .a import _helper\nimport a\nprint(_helper(), a._Shape)\n",
+    }
+    assert dead_private_names(sources) == ["a:_UNUSED", "a:_loop"]
+
+
+def test_package_has_no_dead_private_names():
+    sources = {
+        p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert dead_private_names(sources) == []
