@@ -47,7 +47,7 @@ from .ledger import (
     pair_contributions,
     term_contributions,
 )
-from .pauli import GroupCover, Observable
+from .pauli import GroupCover, Observable, commutation_matrix
 from .posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
 from .simulator import (
     DEFAULT_MAX_QUBITS,
@@ -465,8 +465,8 @@ COHORT_ROWS = 4096
 
 def cohort_size(obs: Observable) -> int:
     """Repetitions run in lockstep: as many as fit COHORT_ROWS tally rows."""
-    led = TallyLedger(obs)
-    return max(1, COHORT_ROWS // max(1, led.num_terms + led.num_pairs))
+    pairs = np.count_nonzero(np.triu(commutation_matrix(obs.strings()), 1))
+    return max(1, COHORT_ROWS // max(1, obs.num_terms + pairs))
 
 
 class _Shots:

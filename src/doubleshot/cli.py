@@ -54,15 +54,19 @@ EXIT_NUMERICAL = 3
 EXIT_RESOURCE = 4
 
 
-def _width_cap(text: str) -> int:
-    """--max-qubits value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least *low*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_observable_args(parser: argparse.ArgumentParser) -> None:
@@ -86,7 +90,7 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-qubits",
-        type=_width_cap,
+        type=_int_at_least(1),
         default=DEFAULT_MAX_QUBITS,
         help=f"dense-simulation width cap (default {DEFAULT_MAX_QUBITS})",
     )
@@ -94,7 +98,9 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     _add_state_args(parser)
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="base seed (default 0)"
+    )
     parser.add_argument(
         "--no-double",
         action="store_true",
@@ -154,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw random coefficients with the documented defaults",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for --random")
+    p.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="seed for --random"
+    )
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_gen_ising)
 

@@ -99,6 +99,8 @@ class ExperimentSpec:
             raise InvalidInputError(
                 f"max_qubits must be >= 1, got {self.max_qubits}"
             )
+        if self.base_seed < 0:
+            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 def resolve_observable(source: str) -> Observable:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .pauli import Observable, commutes
+from .pauli import Observable, commutation_matrix
 from .posterior import MomentEngine, PairTally, SingleTally
 from .simulator import ShotOutcome
 
@@ -41,26 +41,21 @@ class TallyLedger:
 
     def __init__(self, obs: Observable):
         p = obs.num_terms
-        strings = obs.strings()
         self.num_terms = p
         self.singles = np.zeros((p, 4))
-        keys = [
-            (i, j)
-            for i in range(p)
-            for j in range(i + 1, p)
-            if commutes(strings[i], strings[j])
-        ]
+        commuting = np.triu(commutation_matrix(obs.strings()), 1)
+        self.pair_i, self.pair_j = np.nonzero(commuting)
+        keys = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
         self.pair_keys: tuple[tuple[int, int], ...] = tuple(keys)
         self.pair_index = {key: k for k, key in enumerate(keys)}
         self.pairs = np.zeros((len(keys), 12))
-        self.pair_i = np.array([i for i, _ in keys], dtype=np.intp)
-        self.pair_j = np.array([j for _, j in keys], dtype=np.intp)
-        # pair rows having term t as either endpoint, for group-shot updates
-        touching = [[] for _ in range(p)]
-        for k, (i, j) in enumerate(keys):
-            touching[i].append(k)
-            touching[j].append(k)
-        self.pairs_touching = tuple(np.array(t, dtype=np.intp) for t in touching)
+        # pair rows having term t as either endpoint, in row order, for
+        # group-shot updates: rows (i, t) with i < t all precede rows (t, j)
+        ends = np.concatenate([self.pair_j, self.pair_i])
+        order = np.argsort(ends, kind="stable")
+        rows = np.concatenate([np.arange(len(keys))] * 2)[order]
+        bounds = np.cumsum(np.bincount(ends, minlength=p))[:-1]
+        self.pairs_touching = tuple(np.split(rows, bounds))
         self.shots_taken = 0
         self.double_shots = 0
 

@@ -22,6 +22,9 @@ PAULI_LETTERS = "IXYZ"
 
 # symplectic encoding of one letter: (x bit, z bit)
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# the same, indexed by the letter's ASCII code
+_BYTE_BITS = np.zeros((128, 2), dtype=np.int64)
+_BYTE_BITS[[ord(ch) for ch in _LETTER_BITS]] = list(_LETTER_BITS.values())
 
 # merged coefficients smaller than this are dropped as cancelled
 COEFFICIENT_DROP_TOL = 1e-12
@@ -234,16 +237,22 @@ class GroupCover:
         return len(self.groups)
 
 
-def commutation_adjacency(strings: Sequence[PauliString]) -> list[int]:
-    """Bitmask adjacency of the commutation graph: bit j of adj[i] says i,j commute."""
-    p = len(strings)
-    adj = [0] * p
-    for i in range(p):
-        for j in range(i + 1, p):
-            if commutes(strings[i], strings[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
+    """(p, p) bool matrix: entry (i, j) says strings i and j commute.
+
+    The symplectic parity of every pair at once, from 0/1 x- and z-bit
+    matrices of the letters, so it holds at any width.
+    """
+    if not strings:
+        return np.ones((0, 0), dtype=bool)
+    width = strings[0].width
+    if any(s.width != width for s in strings):
+        raise InvalidInputError("strings of different widths")
+    codes = np.frombuffer(
+        "".join(s.letters for s in strings).encode("ascii"), dtype=np.uint8
+    ).reshape(len(strings), width)
+    x, z = _BYTE_BITS[codes].transpose(2, 0, 1)
+    return (x @ z.T + z @ x.T) & 1 == 0
 
 
 def build_group_cover(obs: Observable) -> GroupCover:
@@ -259,7 +268,7 @@ def build_group_cover(obs: Observable) -> GroupCover:
         raise InvalidInputError("group cover needs at least one term")
     coeffs = obs.coefficients()
     rank = sorted(range(p), key=lambda i: (-abs(coeffs[i]), i))
-    adj = commutation_adjacency(obs.strings())
+    commuting = commutation_matrix(obs.strings())
 
     covered = [False] * p
     groups: list[tuple[int, ...]] = []
@@ -267,12 +276,12 @@ def build_group_cover(obs: Observable) -> GroupCover:
         if covered[seed]:
             continue
         members = [seed]
-        allowed = adj[seed]
+        allowed = commuting[seed].copy()
         for t in rank:
-            if t == seed or not (allowed >> t) & 1:
+            if t == seed or not allowed[t]:
                 continue
             members.append(t)
-            allowed &= adj[t]
+            allowed &= commuting[t]
         group = tuple(sorted(members))
         groups.append(group)
         for i in group:

@@ -41,6 +41,10 @@ _CHUNK_ROWS = 64
 # Gauss-Legendre nodes of the single-term quadrature.
 _SINGLE_NODES = 512
 
+# Weights of the sum that _chunked_means sorts rows by: square roots of
+# primes, so that rows of distinct whole counts have distinct exact sums.
+_ROW_KEY_WEIGHTS = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+
 
 def _check_counts(values, what: str):
     arr = np.asarray(values, dtype=float)
@@ -211,8 +215,24 @@ def _chunked_means(
     weight times each of the F integrands.  Rows are read in zero-padded
     chunks of _CHUNK_ROWS, so every matrix product has one shape whatever the
     batch, and a row's moments depend on its own counts only: they are bit
-    for bit the same in any batch, at any size or position.
+    for bit the same in any batch, at any size or position.  That lets a
+    batch of more than one chunk evaluate each bitwise-distinct row once and
+    copy its moments to the rows that repeat it; nothing outlives the call.
     """
+    inverse = None
+    if counts.shape[0] > _CHUNK_ROWS:
+        # Sorted by a weighted sum, equal rows sit together; a row starts a
+        # new group where its bits differ from the row before it.  Equal rows
+        # whose sums differ, or unequal rows whose sums tie, cost at most an
+        # extra evaluation, never a wrong moment.
+        order = np.argsort(counts @ _ROW_KEY_WEIGHTS[: counts.shape[1]])
+        ordered = counts[order]
+        bits = ordered.view(np.uint64)
+        first = np.ones(len(order), dtype=bool)
+        np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        counts = ordered[first]
     n = counts.shape[0]
     out = np.empty((n, weighted.shape[1] - 1))
     chunk = np.zeros((_CHUNK_ROWS, counts.shape[1]))
@@ -228,7 +248,7 @@ def _chunked_means(
         if not np.all(np.isfinite(den)) or np.any(den <= 0):
             raise NumericalError(f"{what} posterior normalization failed")
         out[lo : lo + m] = sums[:, 1:] / den
-    return out
+    return out if inverse is None else out[inverse]
 
 
 class _SingleGrid:

@@ -380,6 +380,23 @@ class TestExitCodes:
             assert "--max-qubits" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--builtin", "toy-fig1", "--budget", "4"),
+            ("curve", "--builtin", "toy-fig1", "--budgets", "4", "--reps", "1"),
+            ("calibrate", "--builtin", "toy-fig1", "--budget", "4", "--reps", "1"),
+            ("double-usage", "--builtin", "toy-fig1", "--budget", "4", "--reps", "1"),
+            ("gen-ising", "--random", "--nx", "1", "--ny", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, monkeypatch):
         def boom(args):
             raise NumericalError("injected")

@@ -76,6 +76,11 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInputError):
             toy_spec(max_qubits=-3)
 
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(InvalidInputError):
+            toy_spec(base_seed=-1)
+        assert toy_spec(base_seed=0).base_seed == 0
+
     def test_rejects_non_increasing_budgets(self):
         with pytest.raises(InvalidInputError):
             toy_spec(budgets=(10, 10))

@@ -12,14 +12,21 @@ The second scan stands in for a dead-code check: a module-level private
 function, class or constant (``_name``) that no other statement of any
 module in ``src/doubleshot`` reads, as a name, an attribute or an import,
 fails the test.
+
+The third scan checks the declared dependencies: every top-level module the
+package imports must be in the standard library or named in ``[project]
+dependencies`` of ``pyproject.toml``.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "doubleshot"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "doubleshot"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -130,3 +137,49 @@ def test_package_has_no_dead_private_names():
         p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
     }
     assert dead_private_names(sources) == []
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of ``[project] dependencies``, from their distribution names."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in requirements
+    }
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """Top-level modules *source* imports that are neither stdlib nor declared."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    allowed = sys.stdlib_module_names | declared
+    return sorted(m for m in modules if m not in allowed)
+
+
+def test_scan_finds_an_undeclared_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy.linalg\n"
+        "from . import pauli\n"
+        "from .errors import InvalidInputError\n"
+        "import scipy\n"
+        "from yaml import safe_load\n"
+    )
+    assert undeclared_imports(source, {"numpy"}) == ["scipy", "yaml"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_imports_only_declared_dependencies(module):
+    source = module.read_text(encoding="utf-8")
+    assert undeclared_imports(source, declared_dependencies()) == []

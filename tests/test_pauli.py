@@ -13,6 +13,7 @@ from doubleshot.pauli import (
     PauliString,
     PauliTerm,
     build_group_cover,
+    commutation_matrix,
     commutes,
     observable_from_pairs,
     parse_observable,
@@ -99,6 +100,26 @@ class TestCommutes:
     def test_reflexive(self, letters):
         s = PauliString(letters)
         assert commutes(s, s) is True
+
+
+class TestCommutationMatrix:
+    @pytest.mark.parametrize("width, count", [(1, 4), (5, 40), (70, 30)])
+    def test_matches_pairwise_commutes(self, width, count):
+        # 70 qubits: wider than one 64-bit word of x or z bits
+        rng = np.random.default_rng(width)
+        strings = [
+            PauliString("".join(rng.choice(list("IXYZ"), width)))
+            for _ in range(count)
+        ]
+        matrix = commutation_matrix(strings)
+        assert matrix.dtype == bool and matrix.shape == (count, count)
+        for (i, a), (j, b) in itertools.product(enumerate(strings), repeat=2):
+            assert matrix[i, j] == commutes(a, b), (a, b)
+        assert not matrix.all()
+
+    def test_width_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            commutation_matrix([PauliString("X"), PauliString("XX")])
 
 
 class TestParseObservable:

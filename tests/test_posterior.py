@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleshot.errors import InvalidInputError
+from doubleshot.errors import InvalidInputError, NumericalError
 from doubleshot.posterior import (
     MomentConfig,
     MomentEngine,
     PairTally,
     SingleTally,
+    _PairGrid,
+    _SingleGrid,
     mcmc_pair_block,
     mcmc_sample,
     pair_moments,
@@ -264,6 +266,61 @@ class TestBatchInvariance:
             self._block("pair", counts[order]),
             self._block("pair", counts)[order],
         )
+
+    @pytest.mark.parametrize("kind, width", [("single", 4), ("pair", 12)])
+    def test_repeated_rows_match_rows_alone(self, kind, width):
+        # few distinct rows, each repeated many times: the symmetric and
+        # factorized shortcut rows of _rows, and copies with -0.0 in place of
+        # 0.0, which compare equal but are other bits
+        distinct = self._rows(width, 3)[:77]
+        signed = distinct[::7].copy()
+        signed[signed == 0.0] = -0.0
+        distinct = np.concatenate([distinct, signed])
+        pick = np.random.default_rng(1).integers(0, len(distinct), 1500)
+        batch = self._block(kind, distinct[pick])
+        alone = np.concatenate(
+            [self._block(kind, row[None, :]) for row in distinct]
+        )
+        assert np.array_equal(batch, alone[pick])
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingArray.matmuls += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestDistinctRows:
+    """A batch evaluates each bitwise-distinct row once."""
+
+    @pytest.mark.parametrize(
+        "grid, width",
+        [(_SingleGrid(64), 4), (_PairGrid(DEFAULT.pair_cells), 12)],
+        ids=["single", "pair"],
+    )
+    def test_repeated_rows_take_one_chunk(self, monkeypatch, grid, width):
+        rows = np.arange(3 * width, dtype=float).reshape(3, width)
+        counts = rows[np.arange(3000) % 3]
+        expected = grid.moments(rows)
+        monkeypatch.setattr(grid, "logs_t", grid.logs_t.view(_CountingArray))
+        monkeypatch.setattr(_CountingArray, "matmuls", 0)
+        out = grid.moments(counts)
+        # one chunk of 64 rows; every row evaluated would take 47
+        assert _CountingArray.matmuls == 1
+        assert np.array_equal(out, expected[np.arange(3000) % 3])
+
+    @pytest.mark.parametrize("kind, width", [("single", 4), ("pair", 12)])
+    def test_a_repeated_nan_row_still_fails_normalization(self, kind, width):
+        counts = np.ones((200, width))
+        counts[50::60, 1] = np.nan
+        with pytest.raises(NumericalError):
+            getattr(MomentEngine(DEFAULT), f"{kind}_block")(counts)
 
 
 class TestMcmc:
