@@ -1,5 +1,11 @@
 """Exact dense statevector oracle: ground states, expectations, seeded sampling.
 
+H acts through one table with a row per distinct X part of its terms
+(_hamiltonian_action).  The ground state is a dense eigh of that H below
+8 qubits and Lanczos on the table from 8 qubits, which never forms the
+2^n x 2^n matrix.  A degenerate ground space gets a deterministic
+representative, which may differ from the one eigh would pick.
+
 All stochastic paths draw from an explicitly passed numpy Generator; the
 project-wide RNG is numpy's PCG64 (see README). Basis-state indices put
 qubit 1 in the most significant bit, matching the kron order of pauli_matrix.
@@ -16,6 +22,13 @@ from .pauli import Observable, PauliString, commutes
 
 # dense work cap: 2^10 amplitudes, and a 4^10-entry Bell table for two-copy shots
 DEFAULT_MAX_QUBITS = 10
+
+# From this width on the ground state comes from _lanczos, below it from a
+# dense eigensolve.  With one BLAS thread the dense solve is still faster at
+# 7 qubits (5 against 9 ms on a random 1x7 lattice), Lanczos at 8 (11 against
+# 26 ms on a random 2x4 lattice), and the dense solve grows as 8^n.
+_LANCZOS_MIN_QUBITS = 8
+_LANCZOS_TOL = 1e-14
 
 _NORM_TOL = 1e-10
 _PROJECTION_NORM_TOL = 1e-9
@@ -74,23 +87,26 @@ def _check_cap(width: int, max_qubits: int):
         )
 
 
-def _pauli_action(s: PauliString):
-    """(source indices, signs, phase) with (P v)_b = phase * signs[b] * v[src[b]].
+def _pauli_actions(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations of many strings, one row each.
 
-    Uses P = i^{n_Y} X^x Z^z: the Z part contributes (-1)^(b.z), the X part
-    permutes basis states by XOR with the x mask.
+    (P_k v)_b = factor[k, b] * v[src[k, b]].  Uses P = i^{n_Y} X^x Z^z: the
+    X part permutes basis states by XOR with the x mask, the Z part gives
+    the sign (-1)^(src.z), and factor is phase * signs with phase = 1j**n_Y.
     """
-    idx = np.arange(1 << s.width, dtype=np.int64)
-    src = idx ^ s.x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & s.z_mask) & 1)
-    phase = 1j ** (s.x_mask & s.z_mask).bit_count()
-    return src, signs, phase
+    x = np.array([s.x_mask for s in strings], dtype=np.int64)
+    z = np.array([s.z_mask for s in strings], dtype=np.int64)
+    width = strings[0].width
+    src = np.arange(1 << width, dtype=np.int64) ^ x[:, None]
+    signs = np.where(np.bitwise_count(src & z[:, None]) & 1, -1.0, 1.0)
+    phases = np.array([1j**k for k in range(width + 1)])[np.bitwise_count(x & z)]
+    return src, phases[:, None] * signs
 
 
 def apply_pauli(s: PauliString, amplitudes: np.ndarray) -> np.ndarray:
     """Return P|v> without forming the dense matrix."""
-    src, signs, phase = _pauli_action(s)
-    return phase * signs * amplitudes[src]
+    src, factor = _pauli_actions([s])
+    return factor[0] * amplitudes[src[0]]
 
 
 def pauli_matrix(s: PauliString) -> np.ndarray:
@@ -101,33 +117,91 @@ def pauli_matrix(s: PauliString) -> np.ndarray:
     return m
 
 
+def _hamiltonian_action(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """H's action, one row per distinct x mask: (H v)_b = sum_g diag[g, b] v[src[g, b]].
+
+    Row g holds the terms whose X part is x_g, so src[g] = b ^ x_g, and
+    diag[g] sums their c * factor in term order.  Row 0 is x = 0 and also
+    holds the identity offset.
+    """
+    strings = obs.strings()
+    x = np.array([s.x_mask for s in strings] + [0], dtype=np.int64)
+    masks, row = np.unique(x, return_inverse=True)
+    diag = np.zeros((masks.size, 1 << obs.width), dtype=complex)
+    if strings:
+        _, factor = _pauli_actions(strings)
+        np.add.at(diag, row[:-1], obs.coefficients()[:, None] * factor)
+    diag[0] += obs.identity_offset
+    return np.arange(1 << obs.width, dtype=np.int64) ^ masks[:, None], diag
+
+
 def observable_matrix(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """Dense H = sum_i c_i P_i + offset; each P_i fills one signed permutation."""
+    """Dense H = sum_i c_i P_i + offset: one scatter of its action table."""
     _check_cap(obs.width, max_qubits)
+    src, diag = _hamiltonian_action(obs)
     dim = 1 << obs.width
-    rows = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
-    for t in obs.terms:
-        src, signs, phase = _pauli_action(t.string)
-        h[rows, src] += t.coefficient * phase * signs
-    h[rows, rows] += obs.identity_offset
+    h[np.arange(dim), src] = diag
     return h
 
 
-def _ground(obs: Observable, max_qubits: int) -> tuple[float, StateVector]:
-    """Lowest eigenvalue and its eigenvector, from one dense eigensolve.
+def _lanczos(obs: Observable) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of H by Lanczos with full reorthogonalisation.
 
-    The phase convention makes the largest-magnitude amplitude real positive,
-    so degenerate ground spaces still yield a deterministic (if basis-dependent)
+    H acts through _hamiltonian_action, so no 2^n x 2^n matrix is formed.
+    The start vector is a fixed-seed complex Gaussian: the uniform vector
+    can miss the ground state (it is orthogonal to it under +sum X_i).  The
+    iteration stops when the Ritz pair's residual beta_k |s_k| falls below
+    _LANCZOS_TOL times sum |c_i| + |offset|, a bound on the norm of H; as
+    |s_k| <= 1, that includes breakdown, where the Krylov space is invariant.
+    """
+    src, diag = _hamiltonian_action(obs)
+    dim = src.shape[1]
+    scale = float(np.abs(obs.coefficients()).sum()) + abs(obs.identity_offset)
+    tol = _LANCZOS_TOL * scale
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis = np.empty((min(dim, 64), dim), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(dim):
+        w = (diag * basis[k][src]).sum(axis=0)
+        alpha.append(float(np.vdot(basis[k], w).real))
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w.conj()).conj()
+        b = float(np.linalg.norm(w))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        vals, vecs = np.linalg.eigh(t)
+        if b * abs(vecs[-1, 0]) <= tol:
+            return float(vals[0]), vecs[:, 0] @ basis[: k + 1]
+        if k + 1 == basis.shape[0]:
+            grown = np.empty((min(dim, 2 * basis.shape[0]), dim), dtype=complex)
+            grown[: k + 1] = basis
+            basis = grown
+        basis[k + 1] = w / b
+        beta.append(b)
+    raise NumericalError(f"Lanczos did not converge in {dim} steps")
+
+
+def _ground(obs: Observable, max_qubits: int) -> tuple[float, StateVector]:
+    """Lowest eigenvalue and its eigenvector.
+
+    Below _LANCZOS_MIN_QUBITS qubits from one dense eigensolve of
+    observable_matrix, from that width on by _lanczos.  The phase convention
+    makes the largest-magnitude amplitude real positive, so a degenerate
+    ground space still yields a deterministic (if method-dependent)
     representative.
     """
-    h = observable_matrix(obs, max_qubits)
-    vals, vecs = np.linalg.eigh(h)
-    v = vecs[:, 0]
+    _check_cap(obs.width, max_qubits)
+    if obs.width < _LANCZOS_MIN_QUBITS:
+        vals, vecs = np.linalg.eigh(observable_matrix(obs, max_qubits))
+        energy, v = vals[0], vecs[:, 0]
+    else:
+        energy, v = _lanczos(obs)
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
     v = v * (pivot.conjugate() / abs(pivot))
-    return float(vals[0]), StateVector(v / np.linalg.norm(v), obs.width)
+    return float(energy), StateVector(v / np.linalg.norm(v), obs.width)
 
 
 def ground_state(obs: Observable, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
@@ -149,8 +223,8 @@ def expectation(state: StateVector, s: PauliString) -> float:
 
 
 def exact_theta(state: StateVector, s: PauliString) -> float:
-    """Probability of the +1 outcome: (1 + <P>)/2."""
-    return 0.5 * (1.0 + expectation(state, s))
+    """Probability of the +1 outcome: (1 + <P>)/2, clipped to [0, 1]."""
+    return min(1.0, max(0.0, 0.5 * (1.0 + expectation(state, s))))
 
 
 def exact_mean(obs: Observable, state: StateVector) -> float:
@@ -205,18 +279,6 @@ def _measure_in_place(
             f"projection onto outcome {outcome:+d} of {s.letters} annihilated the state"
         )
     return v / nrm, outcome
-
-
-def _pauli_actions(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray]:
-    """Signed permutations of many strings, one row each.
-
-    (P_k v)_b = factor[k, b] * v[src[k, b]], with the factor apply_pauli
-    multiplies by, so products with these rows are its bits.
-    """
-    actions = [_pauli_action(s) for s in strings]
-    src = np.stack([perm for perm, _, _ in actions])
-    factor = np.stack([phase * signs for _, signs, phase in actions])
-    return src, factor
 
 
 @dataclass(frozen=True, eq=False)

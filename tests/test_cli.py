@@ -115,6 +115,15 @@ class TestReference:
         assert payload["ground_state_energy"] == pytest.approx(-1.0, abs=1e-12)
         assert payload["terms"][0]["theta"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_singlet_thetas_not_negative(self, tmp_path, capsys):
+        # <XX> = <ZZ> = -1 on the ground state rounds to theta = -1.1e-16
+        obs_path = tmp_path / "xx_zz.txt"
+        obs_path.write_text("1.0 XX\n1.0 ZZ\n")
+        assert run_cli("reference", "--observable", str(obs_path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [t["theta"] for t in payload["terms"]] == [0.0, 0.0]
+        assert [t["phi"] for t in payload["terms"]] == [1.0, 1.0]
+
     def test_toy_on_state_file(self, tmp_path, capsys):
         state_path = tmp_path / "state.txt"
         state_path.write_text("1 0\n0 0\n0 0\n0 0\n")

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from doubleshot import simulator
 from doubleshot.errors import InvalidInputError, ResourceLimitError
 from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
 from doubleshot.pauli import PauliString, build_group_cover, commutes, parse_observable
@@ -148,6 +149,90 @@ class TestGroundState:
         )
 
 
+def lattice(nx: int, ny: int, seed: int):
+    return build_ising(random_ising_spec(nx, ny, np.random.default_rng(seed)))
+
+
+class TestLanczosGroundState:
+    """From 8 qubits the ground state comes from Lanczos on the action table."""
+
+    @pytest.mark.parametrize(
+        "obs",
+        [lattice(2, 4, 6), lattice(3, 3, 7), lattice(2, 5, 7)],
+        ids=["random-2x4", "random-3x3", "wide-10q"],
+    )
+    def test_agrees_with_dense_eigh(self, obs):
+        vals, vecs = np.linalg.eigh(observable_matrix(obs))
+        energy = ground_energy(obs)
+        state = ground_state(obs)
+        assert abs(energy - vals[0]) < 1e-12
+        assert abs(abs(np.vdot(vecs[:, 0], state.amplitudes)) - 1.0) < 1e-12
+
+    def test_deterministic(self):
+        obs = lattice(2, 4, 6)
+        a = ground_state(obs).amplitudes
+        assert a.tobytes() == ground_state(obs).amplitudes.tobytes()
+
+    def test_uniform_start_vector_trap(self):
+        # +sum_i X_i: its ground state is orthogonal to the uniform vector
+        obs = parse_observable(
+            "\n".join(f"1.0 {'I' * i}X{'I' * (7 - i)}" for i in range(8))
+        )
+        assert ground_energy(obs) == pytest.approx(-8.0, abs=1e-12)
+        assert exact_mean(obs, ground_state(obs)) == pytest.approx(-8.0, abs=1e-12)
+
+    def test_degenerate_ground_space(self):
+        obs = parse_observable("1.0 ZZZZZZZZ")
+        energy = ground_energy(obs)
+        assert energy == pytest.approx(-1.0, abs=1e-12)
+        assert exact_mean(obs, ground_state(obs)) == pytest.approx(energy, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            load_builtin("toy-fig1"),
+            load_builtin("ising-2x3"),
+            lattice(1, 7, 5),
+            parse_observable("0.25 III\n" + Y_TERMS_TEXT),
+        ],
+        ids=["toy-fig1", "ising-2x3", "random-1x7", "y-terms"],
+    )
+    def test_dense_path_below_eight_qubits(self, obs):
+        vals, vecs = np.linalg.eigh(kron_observable_matrix(obs))
+        v = vecs[:, 0]
+        pivot = v[int(np.argmax(np.abs(v)))]
+        v = v * (pivot.conjugate() / abs(pivot))
+        v = v / np.linalg.norm(v)
+        assert ground_state(obs).amplitudes.tobytes() == v.tobytes()
+        assert ground_energy(obs) == float(vals[0])
+
+    def test_memory_stays_matrix_free(self):
+        # a dense 12-qubit H alone would take 256 MB
+        obs = lattice(2, 6, 0)
+        tracemalloc.start()
+        try:
+            state = ground_state(obs, max_qubits=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.width == 12
+        assert peak < 64e6
+
+    def test_no_dense_eigensolve_on_wide_lattice(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(simulator.np.linalg, "eigh", spy)
+        obs = lattice(2, 5, 7)
+        ground_state(obs)
+        ground_energy(obs)
+        assert sizes and max(sizes) <= 128
+
+
 class TestExactValues:
     def test_z_on_zero(self):
         assert exact_theta(StateVector([1.0, 0.0]), PauliString("Z")) == pytest.approx(1.0)
@@ -166,6 +251,13 @@ class TestExactValues:
     def test_width_mismatch(self):
         with pytest.raises(InvalidInputError):
             exact_theta(StateVector([1.0, 0.0]), PauliString("ZZ"))
+
+    def test_theta_clipped_to_unit_interval(self):
+        # the singlet: <XX> = <ZZ> = -1, which rounds to theta = -1.1e-16
+        obs = parse_observable("1.0 XX\n1.0 ZZ")
+        state = ground_state(obs)
+        for t in obs.terms:
+            assert exact_theta(state, t.string) == 0.0
 
     def test_exact_mean_includes_offset(self):
         obs = parse_observable("0.25 II\n1.0 ZI")
@@ -360,6 +452,22 @@ class TestGivenGroupActions:
         src, factor = _pauli_actions(obs.strings())
         for k, s in enumerate(obs.strings()):
             assert np.array_equal(factor[k] * v[src[k]], apply_pauli(s, v))
+
+    @pytest.mark.parametrize(
+        "obs",
+        [parse_observable(Y_TERMS_TEXT), load_builtin("ising-2x3"), lattice(2, 5, 7)],
+        ids=["random-3q-y-terms", "ising-2x3", "wide-10q"],
+    )
+    def test_table_bytes_match_per_string_formula(self, obs):
+        # -0.0 and 0.0 differ here, so bytes are compared, not values
+        src, factor = _pauli_actions(obs.strings())
+        idx = np.arange(1 << obs.width, dtype=np.int64)
+        for k, s in enumerate(obs.strings()):
+            perm = idx ^ s.x_mask
+            signs = 1.0 - 2.0 * (np.bitwise_count(perm & s.z_mask) & 1)
+            phase = 1j ** (s.x_mask & s.z_mask).bit_count()
+            assert src[k].tobytes() == perm.tobytes()
+            assert factor[k].tobytes() == (phase * signs).tobytes()
 
     def test_actions_of_another_group_refused(self):
         obs = parse_observable(TOY_TEXT)
