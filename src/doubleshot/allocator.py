@@ -21,15 +21,16 @@ the same bits as np.sum of that row, so the predictions are bit-identical to
 rebuilding each hypothetical ledger and calling estimate() on it, which is
 what virtual_update and choose_action do and what the tests cross-check.
 
-A run is a generator of moment requests, and run_allocations advances a
-cohort of runs in lockstep: each re-evaluation phase (real single rows, real
-pair rows, virtual single rows, virtual joint pair rows) is one engine call
-holding the rows of every live run, which fills the quadrature chunks that
-one small run leaves mostly padding.  Again because a row's moments are the
-same bits in any batch, every run gets the bits it gets alone.  The cohort
-holds as many runs as fit COHORT_ROWS tally rows, so wide observables run
-one at a time and memory stays that of one cohort.  run_allocation is the
-one-run case.
+run_allocations steps a cohort of runs together as one array program (see
+_FastLoop): a step predicts every candidate of every live run with one
+gather and row sum per table, draws each run's shot from its own rng in run
+order, and evaluates again the rows the shots changed in four engine calls,
+each holding the rows of every live run, which fills the quadrature
+chunks that one small run leaves mostly padding.  Again because a row's
+moments are the same bits in any batch, every run gets the bits it gets
+alone.  The cohort holds as many runs as fit COHORT_ROWS tally rows, so
+wide observables run one at a time and memory stays that of one cohort.
+run_allocation is the one-run case.
 """
 from __future__ import annotations
 
@@ -141,58 +142,55 @@ def _partition(ledger: TallyLedger, members):
 
 
 # Virtual rows, one function per way an action can change a row.  Each takes
-# the real ledger and moments and the indices of the rows it builds, so the
-# reference path and the fast loop build the same rows with the same
-# arithmetic.
+# the real rows it changes and the moments it adds, so the reference path
+# and the fast loop build the same rows with the same arithmetic.
 
 
-def _group_single_rows(ledger: TallyLedger, smom, terms):
+def _group_single_rows(singles, smom):
     """Term rows after one expectation-valued single-scheme shot."""
-    vs = ledger.singles[terms].copy()
-    th = smom[terms, 0]
+    vs = singles.copy()
+    th = smom[:, 0]
     vs[:, 0] += th
     vs[:, 1] += 1.0 - th
     return vs
 
 
-def _double_single_rows(ledger: TallyLedger, smom, terms):
+def _double_single_rows(singles, smom):
     """Term rows after half an expectation-valued double shot."""
-    vs = ledger.singles[terms].copy()
-    phi = smom[terms, 2]
+    vs = singles.copy()
+    phi = smom[:, 2]
     vs[:, 2] += 0.5 * phi
     vs[:, 3] += 0.5 * (1.0 - phi)
     return vs
 
 
-def _both_pair_rows(ledger: TallyLedger, pmom, ks):
+def _both_pair_rows(pairs, pmom):
     """Pair rows after a group shot holding both terms: joint cells split."""
-    vp = ledger.pairs[ks].copy()
-    vp[:, 0:4] += pmom[ks, 0:4]
+    vp = pairs.copy()
+    vp[:, 0:4] += pmom[:, 0:4]
     return vp
 
 
-def _iside_pair_rows(ledger: TallyLedger, smom, ks):
+def _iside_pair_rows(pairs, theta_i):
     """Pair rows after a group shot holding only the lower-index term."""
-    vp = ledger.pairs[ks].copy()
-    ti = smom[ledger.pair_i[ks], 0]
-    vp[:, 8] += ti
-    vp[:, 9] += 1.0 - ti
+    vp = pairs.copy()
+    vp[:, 8] += theta_i
+    vp[:, 9] += 1.0 - theta_i
     return vp
 
 
-def _jside_pair_rows(ledger: TallyLedger, smom, ks):
+def _jside_pair_rows(pairs, theta_j):
     """Pair rows after a group shot holding only the higher-index term."""
-    vp = ledger.pairs[ks].copy()
-    tj = smom[ledger.pair_j[ks], 0]
-    vp[:, 10] += tj
-    vp[:, 11] += 1.0 - tj
+    vp = pairs.copy()
+    vp[:, 10] += theta_j
+    vp[:, 11] += 1.0 - theta_j
     return vp
 
 
-def _double_pair_rows(ledger: TallyLedger, pmom, ks):
+def _double_pair_rows(pairs, pmom):
     """Pair rows after half an expectation-valued double shot."""
-    vp = ledger.pairs[ks].copy()
-    vp[:, 4:8] += 0.5 * pmom[ks, 4:8]
+    vp = pairs.copy()
+    vp[:, 4:8] += 0.5 * pmom[:, 4:8]
     return vp
 
 
@@ -220,29 +218,21 @@ def virtual_update(
     """
     smom, pmom = _full_moments(ledger, engine)
     out = ledger.copy()
+    singles, pairs = ledger.singles, ledger.pairs
     if action.kind == "group":
         terms, both, iside, jside = _partition(ledger, cover.groups[action.group])
-        out.singles[terms] = _group_single_rows(ledger, smom, terms)
-        out.pairs[both] = _both_pair_rows(ledger, pmom, both)
-        out.pairs[iside] = _iside_pair_rows(ledger, smom, iside)
-        out.pairs[jside] = _jside_pair_rows(ledger, smom, jside)
+        out.singles[terms] = _group_single_rows(singles[terms], smom[terms])
+        out.pairs[both] = _both_pair_rows(pairs[both], pmom[both])
+        out.pairs[iside] = _iside_pair_rows(
+            pairs[iside], smom[ledger.pair_i[iside], 0]
+        )
+        out.pairs[jside] = _jside_pair_rows(
+            pairs[jside], smom[ledger.pair_j[jside], 0]
+        )
     else:
-        out.singles = _double_single_rows(ledger, smom, np.arange(ledger.num_terms))
-        out.pairs = _double_pair_rows(ledger, pmom, np.arange(ledger.num_pairs))
+        out.singles = _double_single_rows(singles, smom)
+        out.pairs = _double_pair_rows(pairs, pmom)
     return out
-
-
-def _candidate_actions(
-    cover: GroupCover, config: AllocationConfig, remaining: int
-) -> list[MeasurementAction]:
-    """Candidates in tie-break order: groups by index, then double."""
-    actions = [
-        MeasurementAction(kind="group", group=g)
-        for g in range(cover.num_groups)
-    ]
-    if config.enable_double and remaining >= 2 and cover.num_groups > 0:
-        actions.append(MeasurementAction(kind="double"))
-    return actions
 
 
 def choose_action(
@@ -263,7 +253,11 @@ def choose_action(
     if cover.num_groups == 0:
         raise InvalidInputError("no measurable groups")
     engine = MomentEngine(config.moments)
-    actions = _candidate_actions(cover, config, remaining)
+    actions = [
+        MeasurementAction(kind="group", group=g) for g in range(cover.num_groups)
+    ]
+    if config.enable_double and remaining >= 2:
+        actions.append(MeasurementAction(kind="double"))
     best, best_var = None, None
     for action in actions:
         hypo = virtual_update(ledger, action, cover, engine)
@@ -274,35 +268,43 @@ def choose_action(
 
 
 class _FastLoop:
-    """Candidate evaluation that re-evaluates only the rows an action changed.
+    """Candidate evaluation for a cohort of runs, as one array program.
 
-    `term` and `pair` hold variance contributions, one row per variant, one
-    column per tally row: a term's real row, its row after a virtual group
-    shot and after a virtual double shot; a pair's real row, after a group
-    shot holding both terms, only term i or only term j, and after a double
-    shot.  A group's virtual rows depend only on the row and on which of its
-    terms the group holds, so the tables serve every candidate.  A candidate
-    (groups by index, then double) is one row of `term_pick` and
-    `pair_pick`, one pick of a variant per tally row, and its prediction is
-    the sum of the picked contributions.  A real shot changes the rows its
-    picks move off _REAL; only those are evaluated again, and of the group
-    pair variants only those some candidate picks (`needed`).  Double-shot
-    variants are kept only when double shots are enabled.
+    `enable_double` holds one flag per run (a bool alone is a cohort of
+    one).  Each run keeps its own ledger in `ledgers`, whose tallies are
+    views of one (runs, terms, 4) and one (runs, pairs, 12) array, and its
+    trace in `traces`; the first run's ledger, `ledger`, gives the pair
+    layout that every run shares.
 
-    The evaluations are generators of moment requests, which the caller
-    serves (see _lockstep): start() for the fresh ledger, recorded() after a
-    real shot.
+    `term` (runs, 3, terms) and `pair` (runs, 5, pairs) hold variance
+    contributions, one row per variant and one column per tally row: a
+    term's real row, its row after a virtual group shot and after a virtual
+    double shot; a pair's real row, after a group shot holding both terms,
+    only term i or only term j, and after a double shot.  A group's virtual
+    rows depend only on the row and on which of its terms the group holds,
+    so the tables serve every candidate.  A candidate (groups by index, then
+    double) is one row of `term_pick` and `pair_pick`, one pick of a variant
+    per tally row, and its prediction is the sum of the picked
+    contributions.  A real shot changes the rows its picks move off _REAL;
+    only those are evaluated again, and of the group pair variants only
+    those some candidate picks (`needed`).  Double-shot variants are kept
+    only for the runs that may take double shots.
     """
 
-    def __init__(self, obs: Observable, cover: GroupCover, enable_double: bool):
-        self.enable_double = enable_double
+    def __init__(self, obs: Observable, cover: GroupCover, enable_double):
+        self.double = np.atleast_1d(np.asarray(enable_double, dtype=bool))
         self.coeff = obs.coefficients()
         self.ledger = led = TallyLedger(obs)
-        p, q, g = led.num_terms, led.num_pairs, cover.num_groups
-        self.smom = np.zeros((p, 3))
-        self.pmom = np.zeros((q, 11))
-        self.term = np.zeros((3, p))
-        self.pair = np.zeros((5, q))
+        runs, p, q, g = self.double.size, led.num_terms, led.num_pairs, cover.num_groups
+        self.ledgers = [led] + [led.copy() for _ in range(runs - 1)]
+        self.singles = np.zeros((runs, p, 4))
+        self.pairs = np.zeros((runs, q, 12))
+        for r, own in enumerate(self.ledgers):
+            own.singles, own.pairs = self.singles[r], self.pairs[r]
+        self.traces: list[list[TraceRow]] = [[] for _ in range(runs)]
+        self.smom = np.zeros((runs, p, 3))
+        self.term = np.zeros((runs, 3, p))
+        self.pair = np.zeros((runs, 5, q))
         self.term_pick = np.full((g + 1, p), _REAL, dtype=np.int8)
         self.pair_pick = np.full((g + 1, q), _REAL, dtype=np.int8)
         for c, members in enumerate(cover.groups):
@@ -316,155 +318,144 @@ class _FastLoop:
         # pair variants some group picks; the others are never read
         self.needed = np.zeros((5, q), dtype=bool)
         self.needed[self.pair_pick[:g], np.arange(q)] = True
-        self.variance = None
+        self.term_at = _off_real(self.term_pick)
+        self.pair_at = _off_real(self.pair_pick)
 
-    def start(self):
-        """Moment requests that evaluate every row of the fresh ledger."""
-        return self._update(
-            np.arange(self.ledger.num_terms), np.arange(self.ledger.num_pairs)
-        )
+    def predict(self, live: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+        """Clamped predicted variance of each candidate (columns) per live run.
 
-    def recorded(self, outcome, action: MeasurementAction):
-        """Fold a real shot into the ledger; moment requests for what it changed."""
-        self.ledger.record(outcome)
-        if action.kind == "group":
-            return self._update(
-                np.flatnonzero(self.term_pick[action.group]),
-                np.flatnonzero(self.pair_pick[action.group]),
-            )
-        return self.start()
-
-    def _update(self, terms: np.ndarray, ks: np.ndarray):
-        """Re-evaluate term rows `terms`, pair rows `ks` and their variants.
-
-        Four requests, in this order: real single rows, real pair rows,
-        virtual single rows, jointly measured virtual pair rows.
+        Each live run's matrix of picked contributions is summed over its
+        last, contiguous axis, which gives each prediction the bits of
+        np.sum on its row alone.  A run's double candidate reads inf where
+        `allowed` is False, so that argmin never picks it.
         """
-        led, coeff = self.ledger, self.coeff
-        self.smom[terms] = yield "single", led.singles[terms]
-        self.pmom[ks] = yield "pair", led.pairs[ks]
-        self.term[_REAL, terms] = term_contributions(coeff[terms], self.smom[terms])
-        joint = joint_mask(led.pairs[ks])
-        self.pair[_REAL, ks] = self._pair_contributions(
-            ks, joint, self.pmom[ks[joint]]
+        total = _picked_sums(self.term[live], *self.term_at) + _picked_sums(
+            self.pair[live], *self.pair_at
+        )
+        total[~allowed, -1] = np.inf
+        return _clamped(total)
+
+    def update(
+        self, engine: MomentEngine, live: np.ndarray, cand: np.ndarray
+    ) -> np.ndarray:
+        """Re-evaluate the rows candidate cand[i] changed in run live[i].
+
+        The double candidate changes every row, so it also starts a fresh
+        ledger.  Four engine calls, each holding the rows of every live run,
+        in this order: real single rows, real pair rows, virtual single
+        rows, jointly measured virtual pair rows.  Returns each live run's
+        clamped variance estimate.
+        """
+        coeff, pair_i, pair_j = self.coeff, self.ledger.pair_i, self.ledger.pair_j
+        pos, tt = np.nonzero(self.term_pick[cand])
+        rt = live[pos]
+        pos, kk = np.nonzero(self.pair_pick[cand])
+        rk = live[pos]
+
+        srows = self.singles[rt, tt]
+        smom = self._evaluate(engine.single_block, srows, rt, live)
+        self.smom[rt, tt] = smom
+        pmom = self._evaluate(engine.pair_block, self.pairs[rk, kk], rk, live)
+        self.term[rt, _REAL, tt] = term_contributions(coeff[tt], smom)
+        joint = joint_mask(self.pairs[rk, kk])
+        self.pair[rk, _REAL, kk] = pair_contributions(
+            coeff, pair_i[kk], pair_j[kk], kk.size, np.flatnonzero(joint), pmom[joint]
         )
 
-        term_rows = {_GROUP: _group_single_rows(led, self.smom, terms)}
-        pair_ks = {v: ks[self.needed[v, ks]] for v in (_BOTH, _ISIDE, _JSIDE)}
-        pair_rows = {
-            _BOTH: _both_pair_rows(led, self.pmom, pair_ks[_BOTH]),
-            _ISIDE: _iside_pair_rows(led, self.smom, pair_ks[_ISIDE]),
-            _JSIDE: _jside_pair_rows(led, self.smom, pair_ks[_JSIDE]),
-        }
-        if self.enable_double:
-            term_rows[_TERM_DOUBLE] = _double_single_rows(led, self.smom, terms)
-            pair_ks[_PAIR_DOUBLE] = ks
-            pair_rows[_PAIR_DOUBLE] = _double_pair_rows(led, self.pmom, ks)
+        d = self.double[rt]
+        runs, cols = np.concatenate([rt, rt[d]]), np.concatenate([tt, tt[d]])
+        variant = np.repeat([_GROUP, _TERM_DOUBLE], [tt.size, np.count_nonzero(d)])
+        rows = np.concatenate([
+            _group_single_rows(srows, smom),
+            _double_single_rows(srows[d], smom[d]),
+        ])
+        ms = self._evaluate(engine.single_block, rows, runs, live)
+        self.term[runs, variant, cols] = term_contributions(coeff[cols], ms)
 
-        # one request per kind; of the pair rows only the jointly measured
-        # go in, since the others contribute exactly zero
-        ms = yield "single", np.concatenate(list(term_rows.values()))
-        for pos, v in enumerate(term_rows):
-            rows = ms[pos * terms.size : (pos + 1) * terms.size]
-            self.term[v, terms] = term_contributions(coeff[terms], rows)
-        joint = {v: joint_mask(rows) for v, rows in pair_rows.items()}
-        mp = yield "pair", np.concatenate(
-            [rows[joint[v]] for v, rows in pair_rows.items()]
+        sel = [self.needed[_BOTH, kk], self.needed[_ISIDE, kk],
+               self.needed[_JSIDE, kk], self.double[rk]]
+        b, i, j, d = sel
+        runs = np.concatenate([rk[s] for s in sel])
+        cols = np.concatenate([kk[s] for s in sel])
+        variant = np.repeat(
+            [_BOTH, _ISIDE, _JSIDE, _PAIR_DOUBLE], [np.count_nonzero(s) for s in sel]
         )
-        at = 0
-        for v in pair_rows:
-            n = int(np.count_nonzero(joint[v]))
-            self.pair[v, pair_ks[v]] = self._pair_contributions(
-                pair_ks[v], joint[v], mp[at : at + n]
-            )
-            at += n
-
-        self.variance = clamped_variance(
-            float(np.sum(self.term[_REAL]) + np.sum(self.pair[_REAL]))
-        )
-
-    def _pair_contributions(self, ks, joint, mom):
-        """Contributions of pair rows `ks`; mom holds the rows ks[joint]."""
-        led = self.ledger
-        return pair_contributions(
-            self.coeff, led.pair_i[ks], led.pair_j[ks], ks.size,
-            np.flatnonzero(joint), mom,
+        pairs, theta = self.pairs, self.smom[:, :, 0]
+        rows = np.concatenate([
+            _both_pair_rows(pairs[rk[b], kk[b]], pmom[b]),
+            _iside_pair_rows(pairs[rk[i], kk[i]], theta[rk[i], pair_i[kk[i]]]),
+            _jside_pair_rows(pairs[rk[j], kk[j]], theta[rk[j], pair_j[kk[j]]]),
+            _double_pair_rows(pairs[rk[d], kk[d]], pmom[d]),
+        ])
+        # of the pair rows only the jointly measured go in, since the others
+        # contribute exactly zero
+        joint = joint_mask(rows)
+        mp = self._evaluate(engine.pair_block, rows[joint], runs[joint], live)
+        self.pair[runs, variant, cols] = pair_contributions(
+            coeff, pair_i[cols], pair_j[cols], cols.size, np.flatnonzero(joint), mp
         )
 
-    def predict(self, actions: list[MeasurementAction]) -> list[float]:
-        """Predicted variance per candidate: its picked contributions, summed."""
-        total = (
-            np.take_along_axis(self.term, self.term_pick, axis=0).sum(axis=1)
-            + np.take_along_axis(self.pair, self.pair_pick, axis=0).sum(axis=1)
+        return _clamped(
+            self.term[live, _REAL].sum(axis=-1) + self.pair[live, _REAL].sum(axis=-1)
         )
-        double = len(total) - 1
-        return [
-            clamped_variance(float(total[double if a.kind == "double" else a.group]))
-            for a in actions
-        ]
+
+    def _evaluate(self, block, rows, runs, live):
+        """One engine call on the rows of every live run; rows[n] is runs[n]'s.
+
+        On a failure each live run's rows are evaluated alone, in run order,
+        and the first run whose rows fail raises that error, with its own
+        partial trace attached as `partial_trace`.
+        """
+        try:
+            return block(rows)
+        except Exception:
+            for r in live.tolist():
+                try:
+                    block(rows[runs == r])
+                except Exception as err:
+                    err.partial_trace = tuple(self.traces[r])
+                    raise
+            raise
 
 
-def _lockstep(runs: list, engine: MomentEngine) -> list:
-    """Serve generators of moment requests in lockstep; return their values.
+def _off_real(pick: np.ndarray):
+    """Candidates, and flat positions of the picks off _REAL and what they pick.
 
-    A generator yields (kind, rows), kind "single" or "pair", and is sent
-    the engine's moments of those rows.  Each round evaluates the pending
-    rows of every live generator with one engine call per kind, so the rows
-    of many runs share the quadrature chunks; a row's moments are the same
-    bits in any batch, so each run is sent exactly what it would get alone.
-    A generator leaves when it returns.
+    int32 holds them: the (candidates, rows) matrix is made in full at each step.
     """
-    values = [None] * len(runs)
-    pending = [(r, None) for r in range(len(runs))]
-    while pending:
-        requests = {"single": [], "pair": []}
-        for r, moments in pending:
-            try:
-                kind, rows = runs[r].send(moments)
-            except StopIteration as stop:
-                values[r] = stop.value
-            else:
-                requests[kind].append((r, rows))
-        pending = []
-        for kind, batch in requests.items():
-            if not batch:
-                continue
-            moments = _evaluate(engine, kind, [runs[r] for r, _ in batch],
-                                [rows for _, rows in batch])
-            at = 0
-            for r, rows in batch:
-                pending.append((r, moments[at : at + len(rows)]))
-                at += len(rows)
-    return values
+    at = np.flatnonzero(pick)
+    rows = pick.shape[1]
+    src = pick.ravel()[at].astype(np.intp) * rows + at % rows
+    return len(pick), at.astype(np.int32), src.astype(np.int32)
 
 
-def _evaluate(engine: MomentEngine, kind: str, runs: list, rows: list):
-    """One engine call on the rows of several runs.
+def _picked_sums(table: np.ndarray, candidates, at, src) -> np.ndarray:
+    """Row sums of each run's (candidates, rows) matrix of picked contributions.
 
-    On a failure each run's rows are evaluated alone, and the error is
-    raised inside the first run whose rows fail, so that it leaves with
-    that run's own partial trace.
+    The real row repeated, then the other picks put in from table (runs,
+    variants, rows); summed over the last, contiguous axis.
     """
-    block = engine.single_block if kind == "single" else engine.pair_block
-    try:
-        return block(rows[0] if len(rows) == 1 else np.concatenate(rows))
-    except Exception:
-        for run, own in zip(runs, rows):
-            try:
-                block(own)
-            except Exception as err:
-                run.throw(err)
-        raise
+    runs = table.shape[0]
+    picked = np.repeat(table[:, _REAL : _REAL + 1], candidates, axis=1)
+    picked.reshape(runs, -1)[:, at] = table.reshape(runs, -1)[:, src]
+    return picked.sum(axis=-1)
 
 
-# Tally rows (terms plus pairs) per lockstep cohort.  A cohort's rows fill
-# the quadrature chunks that one run's small batches leave mostly empty; the
-# cap keeps the memory of a cohort near that of one wide run.
+def _clamped(totals: np.ndarray) -> np.ndarray:
+    """clamped_variance of each element, with its warnings."""
+    for total in totals[totals < 0.0].tolist():
+        clamped_variance(total)
+    return np.where(totals < 0.0, 0.0, totals)
+
+
+# Tally rows (terms plus pairs) per cohort.  A cohort's rows fill the
+# quadrature chunks that one run's small batches leave mostly empty; the cap
+# keeps the memory of a cohort near that of one wide run.
 COHORT_ROWS = 4096
 
 
 def cohort_size(obs: Observable) -> int:
-    """Repetitions run in lockstep: as many as fit COHORT_ROWS tally rows."""
+    """Repetitions stepped together: as many as fit COHORT_ROWS tally rows."""
     pairs = np.count_nonzero(np.triu(commutation_matrix(obs.strings()), 1))
     return max(1, COHORT_ROWS // max(1, obs.num_terms + pairs))
 
@@ -483,19 +474,16 @@ class _Shots:
         self.actions = {}
         self.bell = None
 
-    def sample(self, action: MeasurementAction, rng, max_qubits: int):
-        """One shot of the action, drawn from rng."""
-        if action.kind == "group":
-            group = self.cover.groups[action.group]
-            if action.group not in self.actions:
+    def sample(self, candidate: int, rng, max_qubits: int):
+        """One shot of a candidate (a group's index, or num_groups for double)."""
+        if candidate < self.cover.num_groups:
+            group = self.cover.groups[candidate]
+            if candidate not in self.actions:
                 if self.table is None:
                     self.table = _pauli_actions(self.obs.strings())
-                self.actions[action.group] = _group_actions(
-                    self.obs, group, self.table
-                )
+                self.actions[candidate] = _group_actions(self.obs, group, self.table)
             return sample_group_shot(
-                self.state, self.obs, group, rng,
-                actions=self.actions[action.group],
+                self.state, self.obs, group, rng, actions=self.actions[candidate]
             )
         if self.bell is None:
             self.bell = _bell_table(self.state, max_qubits)
@@ -504,50 +492,67 @@ class _Shots:
         )
 
 
-def _run(
+def _run_cohort(
     obs: Observable,
     cover: GroupCover,
-    config: AllocationConfig,
+    configs: list[AllocationConfig],
+    engine: MomentEngine,
     shots: _Shots,
-):
-    """One allocate-measure-update run as a generator of moment requests.
+) -> list[AllocationResult]:
+    """Allocate-measure-update runs, one per config, stepped together.
 
-    Returns its AllocationResult.  On a failure the exception is re-raised
-    with the run's partial trace attached as `partial_trace`.
+    Each step predicts every candidate of every live run, takes each run's
+    best one, draws its shot from the run's own rng in run order, and
+    re-evaluates what the shots changed.  A run leaves when its budget
+    cannot fund a group shot.  On a failure inside a run the exception is
+    re-raised with that run's partial trace attached as `partial_trace`.
     """
-    rng = np.random.default_rng(config.seed)
-    trace: list[TraceRow] = []
-    try:
-        loop = _FastLoop(obs, cover, config.enable_double)
-        yield from loop.start()
-        ledger = loop.ledger
-        while cover.num_groups > 0:
-            remaining = config.budget - ledger.effective_shots
-            if remaining < 1:
-                break
-            actions = _candidate_actions(cover, config, remaining)
-            predictions = loop.predict(actions)
-            best = int(np.argmin(predictions))
-            action = actions[best]
-            outcome = shots.sample(action, rng, config.max_qubits)
-            yield from loop.recorded(outcome, action)
+    g = cover.num_groups
+    loop = _FastLoop(obs, cover, [config.enable_double for config in configs])
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    remaining = np.array([config.budget for config in configs])
+    results: list[AllocationResult] = [None] * len(configs)
+    live = np.arange(len(configs))
+    loop.update(engine, live, np.full(live.size, g))
+    while True:
+        done = remaining[live] < 1 if g else np.ones(live.size, dtype=bool)
+        for r in live[done].tolist():
+            led = loop.ledgers[r]
+            led.singles, led.pairs = led.singles.copy(), led.pairs.copy()
+            report = estimate(led, obs, MomentEngine(configs[r].moments))
+            results[r] = AllocationResult(
+                ledger=led, report=report, trace=tuple(loop.traces[r])
+            )
+        live = live[~done]
+        if not live.size:
+            return results
+
+        predicted = loop.predict(live, loop.double[live] & (remaining[live] >= 2))
+        best = np.argmin(predicted, axis=1)
+        predicted = predicted[np.arange(live.size), best].tolist()
+        runs, picks = live.tolist(), best.tolist()
+        for r, c in zip(runs, picks):
+            try:
+                outcome = shots.sample(c, rngs[r], configs[r].max_qubits)
+                loop.ledgers[r].record(outcome)
+            except Exception as err:
+                err.partial_trace = tuple(loop.traces[r])
+                raise
+        remaining[live] -= np.where(best == g, 2, 1)
+        variance = loop.update(engine, live, best).tolist()
+        for r, c, pred, real in zip(runs, picks, predicted, variance):
+            led, trace = loop.ledgers[r], loop.traces[r]
             trace.append(
                 TraceRow(
                     step=len(trace) + 1,
-                    kind=action.kind,
-                    group=action.group,
-                    predicted_variance=predictions[best],
-                    realized_variance=loop.variance,
-                    m=ledger.shots_taken,
-                    m_double=ledger.double_shots,
+                    kind="double" if c == g else "group",
+                    group=None if c == g else c,
+                    predicted_variance=pred,
+                    realized_variance=real,
+                    m=led.shots_taken,
+                    m_double=led.double_shots,
                 )
             )
-    except Exception as err:
-        err.partial_trace = tuple(trace)
-        raise
-
-    report = estimate(ledger, obs, MomentEngine(config.moments))
-    return AllocationResult(ledger=ledger, report=report, trace=tuple(trace))
 
 
 def run_allocations(
@@ -556,14 +561,14 @@ def run_allocations(
     cover: GroupCover,
     configs: list[AllocationConfig],
 ) -> list[AllocationResult]:
-    """One allocation run per config, in order, run in lockstep cohorts.
+    """One allocation run per config, in order, run in cohorts.
 
-    The runs of a cohort (cohort_size of them) advance together: each
-    re-evaluation phase is one engine call holding the rows of every live
-    run, and a run leaves the cohort when its budget is spent.  Each run
-    keeps its own loop, rng and trace, and gets the same bits as alone.
-    The configs must share their moment settings, since every engine call
-    serves several runs.
+    The runs of a cohort (cohort_size of them) step together as one array
+    program (see _FastLoop): each re-evaluation phase is one engine call
+    holding the rows of every live run, and a run leaves the cohort when
+    its budget is spent.  Each run keeps its own ledger, rng and trace, and
+    gets the same bits as alone.  The configs must share their moment
+    settings, since every engine call serves several runs.
     """
     if not configs:
         return []
@@ -575,11 +580,7 @@ def run_allocations(
     size = cohort_size(obs) if len(configs) > 1 else 1
     results = []
     for lo in range(0, len(configs), size):
-        cohort = [
-            _run(obs, cover, config, shots)
-            for config in configs[lo : lo + size]
-        ]
-        results.extend(_lockstep(cohort, engine))
+        results.extend(_run_cohort(obs, cover, configs[lo : lo + size], engine, shots))
     return results
 
 

@@ -1,10 +1,10 @@
 """Experiment drivers: seeded repetition sweeps and their CSV/JSON artifacts.
 
 Every driver consumes an :class:`ExperimentSpec`, runs seeded allocation
-repetitions in lockstep cohorts (repetition ``r`` always uses the derived
-seed ``(base_seed, r)`` and gives the same bits as run alone, so results are
-independent of execution order and of how many repetitions run), and returns
-rows ready for :func:`write_csv`.
+repetitions in cohorts that step together as arrays (repetition ``r``
+always uses the derived seed ``(base_seed, r)`` and gives the same bits as
+run alone, so results are independent of execution order and of how many
+repetitions run), and returns rows ready for :func:`write_csv`.
 
 CSV files produced here are plain ``csv`` dialect with ``#``-prefixed comment
 lines above the header (column documentation) and, for drivers with summary
@@ -154,11 +154,13 @@ def run_repetitions(
     """Run seeded repetitions, ordered by repetition index.
 
     Repetition r is run_allocation seeded rep_seed(base_seed, r).  The
-    repetitions run in lockstep cohorts (allocator.run_allocations): each
-    moment evaluation is one engine call for the whole cohort, whose size
-    the observable sets, so memory is bounded by one cohort.  The engine
-    holds no state and gives a row the same bits in any batch, so each
-    repetition gives the same bits as run alone.
+    repetitions step together in cohorts (allocator.run_allocations), whose
+    size the observable sets, so memory is bounded by one cohort.  A step
+    of a cohort is one array program: one gather predicts every run's
+    candidates, each run draws its shot from its own rng, and each moment
+    evaluation is one engine call for the whole cohort.  The engine holds
+    no state and gives a row the same bits in any batch, so each repetition
+    gives the same bits as run alone.
     """
     configs = [
         AllocationConfig(

@@ -30,6 +30,11 @@ DEFAULT_MAX_QUBITS = 10
 _LANCZOS_MIN_QUBITS = 8
 _LANCZOS_TOL = 1e-14
 
+# Amplitude magnitudes within this relative distance of the largest count as
+# tied for the phase pivot: far above rounding, so that the pivot of a state
+# whose amplitudes tie does not depend on the solver's last bits.
+_PIVOT_TIE = 1e-9
+
 _NORM_TOL = 1e-10
 _PROJECTION_NORM_TOL = 1e-9
 
@@ -188,9 +193,10 @@ def _ground(obs: Observable, max_qubits: int) -> tuple[float, StateVector]:
 
     Below _LANCZOS_MIN_QUBITS qubits from one dense eigensolve of
     observable_matrix, from that width on by _lanczos.  The phase convention
-    makes the largest-magnitude amplitude real positive, so a degenerate
-    ground space still yields a deterministic (if method-dependent)
-    representative.
+    makes the largest-magnitude amplitude real positive, the last one where
+    magnitudes tie within _PIVOT_TIE, so a degenerate ground space still
+    yields a deterministic (if method-dependent) representative, and a
+    nondegenerate one the same ray with the same phase from either method.
     """
     _check_cap(obs.width, max_qubits)
     if obs.width < _LANCZOS_MIN_QUBITS:
@@ -198,7 +204,8 @@ def _ground(obs: Observable, max_qubits: int) -> tuple[float, StateVector]:
         energy, v = vals[0], vecs[:, 0]
     else:
         energy, v = _lanczos(obs)
-    k = int(np.argmax(np.abs(v)))
+    mag = np.abs(v)
+    k = int(np.flatnonzero(mag >= mag.max() * (1.0 - _PIVOT_TIE))[-1])
     pivot = v[k]
     v = v * (pivot.conjugate() / abs(pivot))
     return float(energy), StateVector(v / np.linalg.norm(v), obs.width)

@@ -16,7 +16,6 @@ from doubleshot.allocator import (
     AllocationConfig,
     MeasurementAction,
     _FastLoop,
-    _lockstep,
     choose_action,
     cohort_size,
     run_allocation,
@@ -457,7 +456,10 @@ class TestRunAllocation:
         config = AllocationConfig(budget=30, seed=2)
         engine = MomentEngine(config.moments)
         loop = _FastLoop(obs, cover, enable_double=True)
-        _lockstep([loop.start()], engine)
+        # a cohort of one run, started as a fresh ledger: every row evaluated
+        live = np.array([0])
+        variance = loop.update(engine, live, np.array([cover.num_groups]))
+        ledger = loop.ledgers[0]
         rng = np.random.default_rng(config.seed)
         actions = [MeasurementAction(kind="group", group=g)
                    for g in range(cover.num_groups)]
@@ -466,19 +468,20 @@ class TestRunAllocation:
         for step in script:
             want = [
                 estimate(
-                    virtual_update(loop.ledger, a, cover, engine), obs, engine
+                    virtual_update(ledger, a, cover, engine), obs, engine
                 ).variance
                 for a in actions
             ]
-            assert loop.predict(actions) == want
-            assert loop.variance == estimate(loop.ledger, obs, engine).variance
+            assert loop.predict(live, np.array([True]))[0].tolist() == want
+            assert variance[0] == estimate(ledger, obs, engine).variance
             if step == "double":
-                action = MeasurementAction(kind="double")
+                candidate = cover.num_groups
                 outcome = sample_double_shot(state, obs, rng)
             else:
-                action = MeasurementAction(kind="group", group=step)
+                candidate = step
                 outcome = sample_group_shot(state, obs, cover.groups[step], rng)
-            _lockstep([loop.recorded(outcome, action)], engine)
+            ledger.record(outcome)
+            variance = loop.update(engine, live, np.array([candidate]))
 
     def test_zero_term_observable_takes_no_shots(self):
         obs = parse_observable("0.5 II")
@@ -590,3 +593,36 @@ class TestRunAllocation:
         assert cohort_size(load_builtin("ising-2x3")) == 1
         assert cohort_size(load_builtin("ising-1x2")) >= 20
         assert cohort_size(parse_observable("0.5 II")) >= 1
+
+
+class TestCohortStepIsArrays:
+    def test_helper_calls_follow_the_steps_not_the_runs(self, monkeypatch):
+        # A cohort step evaluates the rows of all its runs with one call of
+        # each contribution helper per phase, so a cohort of 16 runs makes
+        # about as many calls as one of 2 (its longest run may take more
+        # steps), not 8 times as many.
+        import doubleshot.allocator as alloc_mod
+
+        obs = load_builtin("ising-1x2")
+        cover = cover_for(obs)
+        state = ground_state(obs)
+        assert cohort_size(obs) >= 16
+        helpers = ("joint_mask", "pair_contributions", "term_contributions")
+        calls = dict.fromkeys(helpers, 0)
+        for name in helpers:
+            real = getattr(alloc_mod, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(alloc_mod, name, counting)
+
+        def count(runs):
+            calls.update(dict.fromkeys(helpers, 0))
+            run_repetitions(obs, state, cover, 60, runs, True, 0, MomentConfig())
+            return dict(calls)
+
+        two, sixteen = count(2), count(16)
+        for name in helpers:
+            assert 0 < sixteen[name] <= 2 * two[name], (name, two, sixteen)

@@ -3,11 +3,17 @@
 import gc
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doubleshot.allocator import AllocationConfig, AllocationResult, run_allocation
+from doubleshot.allocator import (
+    AllocationConfig,
+    AllocationResult,
+    cohort_size,
+    run_allocation,
+)
 from doubleshot.errors import InvalidInputError
 from doubleshot.experiments import (
     CsvDocument,
@@ -33,6 +39,8 @@ from doubleshot.ledger import EstimateReport, TallyLedger
 from doubleshot.pauli import parse_observable
 from doubleshot.posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def toy_spec(**overrides):
@@ -296,6 +304,43 @@ class TestLockstepCohorts:
         working(1)  # module-level set-up (quadrature grids) happens once
         two, six = working(2), working(6)
         assert six - two < 512 * 1024, (two, six)
+
+
+class TestBenchmarkScaleCohort:
+    """A calib-1x2 round of the benchmark, checked by the benchmark's checks."""
+
+    def test_every_repetition_passes_and_equals_its_lone_run(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import reference
+
+        obs = resolve_observable("builtin:ising-1x2")
+        state = ground_state(obs)
+        cover = cover_for(obs)
+        # one cohort of 20 whose runs leave at different steps, some of them
+        # right after a double shot
+        assert cohort_size(obs) >= 20
+        results = run_repetitions(obs, state, cover, 250, 20, True, 81, DEFAULT_CONFIG)
+        terms = [(t.coefficient, t.string.letters) for t in obs.terms]
+        e0 = reference.ground_energy(terms, obs.identity_offset)
+        for result in results:
+            reference.check_run(result, terms, obs.identity_offset, cover.groups, 250)
+            reference.check_z(reference.z_score(result.report, e0), 6.0)
+
+        steps = [len(result.trace) for result in results]
+        on_double = [
+            rep for rep, result in enumerate(results)
+            if result.trace[-1].kind == "double"
+        ]
+        assert len(set(steps)) > 1 and on_double
+        for rep in {steps.index(min(steps)), steps.index(max(steps)), on_double[0]}:
+            alone = run_allocation(
+                obs, state, cover, AllocationConfig(budget=250, seed=rep_seed(81, rep))
+            )
+            result = results[rep]
+            assert result.trace == alone.trace
+            assert result.report == alone.report
+            assert result.ledger.singles.tobytes() == alone.ledger.singles.tobytes()
+            assert result.ledger.pairs.tobytes() == alone.ledger.pairs.tobytes()
 
 
 class TestCsvDocument:

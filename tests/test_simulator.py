@@ -9,7 +9,12 @@ import pytest
 
 from doubleshot import simulator
 from doubleshot.errors import InvalidInputError, ResourceLimitError
-from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
+from doubleshot.hamiltonians import (
+    BUILTIN_NAMES,
+    build_ising,
+    load_builtin,
+    random_ising_spec,
+)
 from doubleshot.pauli import PauliString, build_group_cover, commutes, parse_observable
 from doubleshot.posterior import phi_joint_of_theta_joint, phi_of_theta
 from doubleshot.simulator import (
@@ -231,6 +236,39 @@ class TestLanczosGroundState:
         ground_state(obs)
         ground_energy(obs)
         assert sizes and max(sizes) <= 128
+
+
+class TestPhasePivot:
+    """The phase pivot is the last largest amplitude, ties within rounding."""
+
+    @pytest.mark.parametrize(
+        "obs",
+        [load_builtin(name) for name in BUILTIN_NAMES] + [lattice(2, 5, 7)],
+        ids=list(BUILTIN_NAMES) + ["wide-10q"],
+    )
+    def test_states_keep_their_argmax_pivot(self, obs):
+        # Each has one largest amplitude, except toy-fig1, whose two largest
+        # tie within rounding and where argmax took the later one; so each
+        # state keeps the bits the argmax pivot gives it.
+        if obs.width < simulator._LANCZOS_MIN_QUBITS:
+            v = np.linalg.eigh(observable_matrix(obs))[1][:, 0]
+        else:
+            v = simulator._lanczos(obs)[1]
+        pivot = v[int(np.argmax(np.abs(v)))]
+        v = v * (pivot.conjugate() / abs(pivot))
+        v = v / np.linalg.norm(v)
+        assert ground_state(obs).amplitudes.tobytes() == v.tobytes()
+
+    def test_tied_magnitudes_give_one_state_from_either_method(self, monkeypatch):
+        # +sum_i X_i on 8 qubits: every amplitude of its ground state is
+        # 1/16 in magnitude, so rounding alone would pick the pivot
+        obs = parse_observable(
+            "\n".join(f"1.0 {'I' * i}X{'I' * (7 - i)}" for i in range(8))
+        )
+        lanczos = ground_state(obs).amplitudes
+        monkeypatch.setattr(simulator, "_LANCZOS_MIN_QUBITS", 9)
+        dense = ground_state(obs).amplitudes
+        assert np.max(np.abs(lanczos - dense)) < 1e-12
 
 
 class TestExactValues:
