@@ -18,6 +18,8 @@ expectation-valued counts to a copy (see allocator module).
 """
 from __future__ import annotations
 
+import bisect
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +31,22 @@ from .posterior import MomentEngine, PairTally, SingleTally
 from .simulator import ShotOutcome
 
 _NEGATIVE_VARIANCE_FLOOR = -1e-9
+
+# record codes each term's outcome 0 (not measured), 1 (plus) or 2 (minus);
+# the cell tables have one row per shot kind
+_KINDS = {"group": 0, "double": 1}
+_SIGNS = frozenset((1, -1))
+# single-row column by kind and code: s+ and s- for a group shot, d+ and d-
+# for a double shot
+_SINGLE_CELLS = ((-1, 0, 1), (-1, 2, 3))
+# pair-row column by kind and 3 * code_i + code_j: a group shot fills a joint
+# cell 0-3 when it measured both ends and a one-side cell 8-11 when it
+# measured one; a double shot measures every term, so only its joint cells
+# 4-7 occur
+_PAIR_CELLS = np.array([
+    [-1, 10, 11, 8, 0, 1, 9, 2, 3],
+    [-1, -1, -1, -1, 4, 5, -1, 6, 7],
+])
 
 
 class TallyLedger:
@@ -44,18 +62,14 @@ class TallyLedger:
         self.num_terms = p
         self.singles = np.zeros((p, 4))
         commuting = np.triu(commutation_matrix(obs.strings()), 1)
-        self.pair_i, self.pair_j = np.nonzero(commuting)
-        keys = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
-        self.pair_keys: tuple[tuple[int, int], ...] = tuple(keys)
-        self.pair_index = {key: k for k, key in enumerate(keys)}
-        self.pairs = np.zeros((len(keys), 12))
-        # pair rows having term t as either endpoint, in row order, for
-        # group-shot updates: rows (i, t) with i < t all precede rows (t, j)
-        ends = np.concatenate([self.pair_j, self.pair_i])
-        order = np.argsort(ends, kind="stable")
-        rows = np.concatenate([np.arange(len(keys))] * 2)[order]
-        bounds = np.cumsum(np.bincount(ends, minlength=p))[:-1]
-        self.pairs_touching = tuple(np.split(rows, bounds))
+        # (2, q): each commuting pair's lower and higher term
+        self.pair_ends = np.array(np.nonzero(commuting))
+        self.pair_i, self.pair_j = self.pair_ends
+        # row-major nonzero order: the keys are sorted, for bisect
+        self.pair_keys: tuple[tuple[int, int], ...] = tuple(
+            zip(self.pair_i.tolist(), self.pair_j.tolist())
+        )
+        self.pairs = np.zeros((len(self.pair_keys), 12))
         self.shots_taken = 0
         self.double_shots = 0
 
@@ -68,17 +82,9 @@ class TallyLedger:
         return self.shots_taken + self.double_shots
 
     def copy(self) -> "TallyLedger":
-        dup = object.__new__(TallyLedger)
-        dup.num_terms = self.num_terms
+        dup = copy.copy(self)
         dup.singles = self.singles.copy()
-        dup.pair_keys = self.pair_keys
-        dup.pair_index = self.pair_index
         dup.pairs = self.pairs.copy()
-        dup.pair_i = self.pair_i
-        dup.pair_j = self.pair_j
-        dup.pairs_touching = self.pairs_touching
-        dup.shots_taken = self.shots_taken
-        dup.double_shots = self.double_shots
         return dup
 
     # -- accessors ----------------------------------------------------------
@@ -88,7 +94,9 @@ class TallyLedger:
         return SingleTally(row[0], row[1], row[2], row[3])
 
     def pair_tally(self, i: int, j: int) -> PairTally:
-        row = self.pairs[self.pair_index[(i, j)]]
+        if not self.is_tracked_pair(i, j):
+            raise KeyError((i, j))
+        row = self.pairs[bisect.bisect_left(self.pair_keys, (i, j))]
         return PairTally(
             s_joint=tuple(row[0:4]),
             d_joint=tuple(row[4:8]),
@@ -97,59 +105,49 @@ class TallyLedger:
         )
 
     def is_tracked_pair(self, i: int, j: int) -> bool:
-        return (i, j) in self.pair_index
+        k = bisect.bisect_left(self.pair_keys, (i, j))
+        return k < len(self.pair_keys) and self.pair_keys[k] == (i, j)
 
     # -- recording ----------------------------------------------------------
 
     def record(self, outcome: ShotOutcome) -> None:
-        """Fold one real shot into the counts and advance the counters."""
-        values = outcome.values
-        for idx in values:
-            if not 0 <= idx < self.num_terms:
-                raise InvalidInputError(
-                    f"outcome term index {idx} outside 0..{self.num_terms - 1}"
-                )
-        if outcome.kind == "group":
-            self._record_group(values)
-        elif outcome.kind == "double":
-            if len(values) != self.num_terms:
-                raise InvalidInputError(
-                    "double outcome must cover every term; got "
-                    f"{len(values)} of {self.num_terms}"
-                )
-            self._record_double(values)
-        else:
+        """Fold one real shot into the counts and advance the counters.
+
+        Each measured term adds one count to its single cell, and each pair
+        with a measured end adds one to the cell _PAIR_CELLS gives for the
+        codes of its two ends.  An integer index outside the terms, or a
+        value other than +1 or -1, is refused before any count moves.
+        """
+        kind = _KINDS.get(outcome.kind)
+        if kind is None:
             raise InvalidInputError(f"unknown outcome kind {outcome.kind!r}")
-
-    def _record_group(self, values: dict[int, int]) -> None:
-        touched: set[int] = set()
-        for i, o in values.items():
-            self.singles[i, 0 if o > 0 else 1] += 1.0
-            touched.update(self.pairs_touching[i].tolist())
-        for k in touched:
-            i, j = self.pair_keys[k]
-            oi = values.get(i)
-            oj = values.get(j)
-            if oi is not None and oj is not None:
-                self.pairs[k, (0 if oi > 0 else 2) + (0 if oj > 0 else 1)] += 1.0
-            elif oi is not None:
-                self.pairs[k, 8 + (0 if oi > 0 else 1)] += 1.0
-            else:
-                self.pairs[k, 10 + (0 if oj > 0 else 1)] += 1.0
-        self.shots_taken += 1
-
-    def _record_double(self, values: dict[int, int]) -> None:
-        o = np.array([values[i] for i in range(self.num_terms)])
-        plus = o > 0
-        self.singles[:, 2] += plus
-        self.singles[:, 3] += ~plus
-        if self.num_pairs:
-            bins = 4 + np.where(plus[self.pair_i], 0, 2) + np.where(
-                plus[self.pair_j], 0, 1
+        values, p = outcome.values, self.num_terms
+        if values and (min(values) < 0 or max(values) >= p):
+            bad = next(i for i in values if not 0 <= i < p)
+            raise InvalidInputError(f"outcome term index {bad} outside 0..{p - 1}")
+        if not _SIGNS.issuperset(values.values()):
+            bad = next(o for o in values.values() if o not in _SIGNS)
+            raise InvalidInputError(f"outcome value {bad!r} is not +1 or -1")
+        if kind and len(values) != p:
+            raise InvalidInputError(
+                f"double outcome must cover every term; got {len(values)} of {p}"
             )
-            self.pairs[np.arange(self.num_pairs), bins] += 1.0
+        singles, cells = self.singles, _SINGLE_CELLS[kind]
+        code = np.zeros(p, np.intp)
+        for i, o in values.items():
+            c = 1 if o == 1 else 2
+            singles[i, cells[c]] += 1.0
+            code[i] = c
+        ends = code[self.pair_ends]
+        cell = 3 * ends[0]
+        cell += ends[1]
+        rows = cell.nonzero()[0]
+        at = 12 * rows
+        at += _PAIR_CELLS[kind][cell[rows]]
+        # flat positions: take and put write through any view of the rows
+        self.pairs.put(at, self.pairs.take(at) + 1.0)
         self.shots_taken += 1
-        self.double_shots += 1
+        self.double_shots += kind
 
     # -- integrity ----------------------------------------------------------
 

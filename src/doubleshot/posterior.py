@@ -172,17 +172,7 @@ def phi_joint_of_theta_joint(theta_joint):
         raise InvalidInputError(
             f"joint probabilities must sum to 1 within 1e-9, got {sums!r}"
         )
-    t0, t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    out = np.stack(
-        [
-            t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3,
-            2.0 * (t0 * t1 + t2 * t3),
-            2.0 * (t0 * t2 + t1 * t3),
-            2.0 * (t0 * t3 + t1 * t2),
-        ],
-        axis=-1,
-    )
-    return out
+    return np.stack(_pair_factors(*np.moveaxis(t, -1, 0))[4:8], axis=-1)
 
 
 def _pair_factors(t0, t1, t2, t3) -> list:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .pauli import Observable, PauliString, commutes
+from .pauli import Observable, PauliString, commutation_matrix, commutes
 
 # dense work cap: 2^10 amplitudes, and a 4^10-entry Bell table for two-copy shots
 DEFAULT_MAX_QUBITS = 10
@@ -317,13 +317,12 @@ def _group_actions(
     if not indices:
         raise InvalidInputError("empty group")
     strings = tuple(obs.terms[i].string for i in indices)
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not commutes(strings[i], strings[j]):
-                raise InvalidInputError(
-                    f"group is not commuting: {strings[i].letters} vs "
-                    f"{strings[j].letters}"
-                )
+    clash = np.argwhere(np.triu(~commutation_matrix(strings), 1))
+    if clash.size:
+        i, j = clash[0]
+        raise InvalidInputError(
+            f"group is not commuting: {strings[i].letters} vs {strings[j].letters}"
+        )
     if table is None:
         (src, factor), rows = _pauli_actions(strings), range(len(indices))
     else:

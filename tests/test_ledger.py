@@ -1,5 +1,6 @@
 """Tests for the tally ledger: recording, integrity checks, and estimates."""
 
+import itertools
 import json
 import math
 
@@ -16,8 +17,8 @@ from doubleshot.ledger import (
     estimate,
     joint_mask,
 )
-from doubleshot.pauli import parse_observable
-from doubleshot.posterior import MomentConfig, MomentEngine
+from doubleshot.pauli import observable_from_pairs, parse_observable
+from doubleshot.posterior import MomentConfig, MomentEngine, PairTally
 from doubleshot.simulator import ShotOutcome, ground_state, sample_group_shot
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
@@ -201,6 +202,191 @@ class TestBookkeeping:
             tally = led.pair_tally(i, j)
             has_joint = any(tally.s_joint) or any(tally.d_joint)
             assert mask[k] == has_joint
+
+
+class ReferenceLedger:
+    """Recording term by term and pair by pair, as the reference for record.
+
+    Group shots walk every pair touching a measured term; double shots set
+    each pair's joint cell from the signs of its ends.
+    """
+
+    def __init__(self, obs):
+        led = TallyLedger(obs)
+        p, q = led.num_terms, led.num_pairs
+        self.num_terms = p
+        self.pair_keys, self.pair_i, self.pair_j = led.pair_keys, led.pair_i, led.pair_j
+        self.singles = np.zeros((p, 4))
+        self.pairs = np.zeros((q, 12))
+        ends = np.concatenate([self.pair_j, self.pair_i])
+        order = np.argsort(ends, kind="stable")
+        rows = np.concatenate([np.arange(q)] * 2)[order]
+        bounds = np.cumsum(np.bincount(ends, minlength=p))[:-1]
+        self.pairs_touching = tuple(np.split(rows, bounds))
+        self.shots_taken = 0
+        self.double_shots = 0
+
+    def record(self, outcome):
+        if outcome.kind == "group":
+            self._record_group(outcome.values)
+        else:
+            self._record_double(outcome.values)
+
+    def _record_group(self, values):
+        touched = set()
+        for i, o in values.items():
+            self.singles[i, 0 if o > 0 else 1] += 1.0
+            touched.update(self.pairs_touching[i].tolist())
+        for k in touched:
+            i, j = self.pair_keys[k]
+            oi = values.get(i)
+            oj = values.get(j)
+            if oi is not None and oj is not None:
+                self.pairs[k, (0 if oi > 0 else 2) + (0 if oj > 0 else 1)] += 1.0
+            elif oi is not None:
+                self.pairs[k, 8 + (0 if oi > 0 else 1)] += 1.0
+            else:
+                self.pairs[k, 10 + (0 if oj > 0 else 1)] += 1.0
+        self.shots_taken += 1
+
+    def _record_double(self, values):
+        o = np.array([values[i] for i in range(self.num_terms)])
+        plus = o > 0
+        self.singles[:, 2] += plus
+        self.singles[:, 3] += ~plus
+        if len(self.pair_keys):
+            bins = 4 + np.where(plus[self.pair_i], 0, 2) + np.where(
+                plus[self.pair_j], 0, 1
+            )
+            self.pairs[np.arange(len(self.pair_keys)), bins] += 1.0
+        self.shots_taken += 1
+        self.double_shots += 1
+
+
+_sign = st.sampled_from((1, -1))
+
+
+@st.composite
+def observable_and_shots(draw):
+    """A random observable of width 1-4 and a stream of shots on it.
+
+    Group outcomes cover a random subset of the terms, in random order;
+    double outcomes cover every term.
+    """
+    width = draw(st.integers(min_value=1, max_value=4))
+    letters = st.text(alphabet="IXYZ", min_size=width, max_size=width).filter(
+        lambda s: set(s) != {"I"}
+    )
+    strings = draw(st.lists(letters, min_size=1, max_size=12, unique=True))
+    obs = observable_from_pairs([(1.0, s) for s in strings])
+    p = obs.num_terms
+    shot = st.one_of(
+        st.dictionaries(st.integers(min_value=0, max_value=p - 1), _sign).map(group),
+        st.lists(_sign, min_size=p, max_size=p).map(
+            lambda signs: double(dict(enumerate(signs)))
+        ),
+    )
+    return obs, draw(st.lists(shot, max_size=20))
+
+
+def _assert_same_counts(led, ref):
+    assert np.array_equal(led.singles, ref.singles)
+    assert np.array_equal(led.pairs, ref.pairs)
+    assert led.shots_taken == ref.shots_taken
+    assert led.double_shots == ref.double_shots
+
+
+class TestRecordAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(observable_and_shots())
+    def test_same_counts_as_term_by_term_recording(self, case):
+        obs, shots = case
+        led, ref = TallyLedger(obs), ReferenceLedger(obs)
+        for outcome in shots:
+            led.record(outcome)
+            ref.record(outcome)
+        _assert_same_counts(led, ref)
+        led.validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(toy_shot(), max_size=20), st.integers(min_value=0, max_value=2))
+    def test_writes_through_a_run_view_only(self, shots, run):
+        # The allocator hands each run's ledger views into one (runs, rows,
+        # cols) array per table; a shot must land in its own run's slice.
+        obs = toy_obs()
+        rng = np.random.default_rng(run)
+        singles = rng.integers(0, 4, size=(3, 5, 4)).astype(float)
+        pairs = rng.integers(0, 4, size=(3, 6, 12)).astype(float)
+        before = singles.copy(), pairs.copy()
+        led, ref = TallyLedger(obs), ReferenceLedger(obs)
+        led.singles, led.pairs = singles[run], pairs[run]
+        for outcome in shots:
+            led.record(outcome)
+            ref.record(outcome)
+        others = np.arange(3) != run
+        assert np.array_equal(singles[others], before[0][others])
+        assert np.array_equal(pairs[others], before[1][others])
+        assert np.array_equal(singles[run] - before[0][run], ref.singles)
+        assert np.array_equal(pairs[run] - before[1][run], ref.pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(observable_and_shots())
+    def test_pair_lookup_matches_a_dict(self, case):
+        obs, shots = case
+        led, ref = TallyLedger(obs), ReferenceLedger(obs)
+        for outcome in shots:
+            led.record(outcome)
+            ref.record(outcome)
+        # the lookup it replaced: a dict from pair to row, KeyError off it
+        index = {key: k for k, key in enumerate(ref.pair_keys)}
+        span = range(-1, obs.num_terms + 1)
+        for i, j in itertools.product(span, span):
+            for key in ((i, j), (np.int64(i), np.int64(j))):
+                assert led.is_tracked_pair(*key) == (key in index)
+                if key in index:
+                    row = ref.pairs[index[key]]
+                    assert led.pair_tally(*key) == PairTally(
+                        s_joint=tuple(row[0:4]),
+                        d_joint=tuple(row[4:8]),
+                        s_i_indep=tuple(row[8:10]),
+                        s_j_indep=tuple(row[10:12]),
+                    )
+                else:
+                    with pytest.raises(KeyError) as got:
+                        led.pair_tally(*key)
+                    assert got.value.args == (key,)
+
+
+class TestRecordRefusesBadValues:
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            group({0: 0}),
+            group({0: 1, 1: 5}),
+            group({2: -1, 3: 0.5}),
+            group({0: 1, 1: -2}),
+            double({t: 0 for t in range(5)}),
+            double({0: 1, 1: -1, 2: 2, 3: 1, 4: 1}),
+            group({0: 1, 7: 1}),
+            double({0: 1, 1: -1, 2: 1, 3: 1, 9: 1}),
+        ],
+        ids=[
+            "group-zero", "group-five", "group-half", "group-minus-two",
+            "double-all-zero", "double-two", "group-index", "double-index",
+        ],
+    )
+    def test_refused_outcome_moves_no_count(self, outcome):
+        led = TallyLedger(toy_obs())
+        led.record(group({0: 1, 2: -1}))
+        led.record(double({0: 1, 1: -1, 2: 1, 3: -1, 4: 1}))
+        singles, pairs = led.singles.copy(), led.pairs.copy()
+        with pytest.raises(InvalidInputError):
+            led.record(outcome)
+        assert np.array_equal(led.singles, singles)
+        assert np.array_equal(led.pairs, pairs)
+        assert led.shots_taken == 2
+        assert led.double_shots == 1
+        led.validate()
 
 
 class TestValidate:

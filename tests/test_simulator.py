@@ -529,6 +529,23 @@ class TestGivenGroupActions:
         with pytest.raises(InvalidInputError):
             _group_actions(obs, [])
 
+    @pytest.mark.parametrize(
+        "group", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (1, 2, 3, 4), (2, 3, 4, 1), (0, 3)]
+    )
+    def test_refusal_names_the_first_clashing_pair(self, group):
+        # pairs in ascending index order, lower index first: the first that
+        # does not commute is the one the message names
+        obs = parse_observable(TOY_TEXT)
+        strings = [obs.terms[i].string for i in sorted(group)]
+        a, b = next(
+            (a, b)
+            for a, b in itertools.combinations(strings, 2)
+            if not commutes(a, b)
+        )
+        with pytest.raises(InvalidInputError) as err:
+            _group_actions(obs, group)
+        assert str(err.value) == f"group is not commuting: {a.letters} vs {b.letters}"
+
 
 class TestDoubleShotOracle:
     """The Bell-table sampler against projection of the doubled state."""
