@@ -64,14 +64,8 @@ from .posterior import (
     DEFAULT_CONFIG,
     MomentConfig,
     MomentEngine,
-    PairMoments,
-    PairTally,
-    SingleMoments,
-    SingleTally,
-    pair_moments,
     phi_of_theta,
     phi_joint_of_theta_joint,
-    single_moments,
 )
 from .simulator import (
     DEFAULT_MAX_QUBITS,
@@ -106,15 +100,11 @@ __all__ = [
     "NumericalError",
     "Observable",
     "ObservableParseError",
-    "PairMoments",
     "PairReport",
-    "PairTally",
     "PauliString",
     "PauliTerm",
     "ResourceLimitError",
     "ShotOutcome",
-    "SingleMoments",
-    "SingleTally",
     "StateVector",
     "TallyLedger",
     "TermReport",
@@ -140,7 +130,6 @@ __all__ = [
     "load_observable",
     "load_state_file",
     "observable_from_pairs",
-    "pair_moments",
     "parse_observable",
     "phi_joint_of_theta_joint",
     "phi_of_theta",
@@ -154,7 +143,6 @@ __all__ = [
     "sample_double_shot",
     "sample_group_shot",
     "serialize_observable",
-    "single_moments",
     "virtual_update",
 ]
 

@@ -46,6 +46,7 @@ from .ledger import (
     estimate,
     joint_mask,
     pair_contributions,
+    pair_covariance,
     term_contributions,
 )
 from .pauli import GroupCover, Observable, commutation_matrix
@@ -359,7 +360,8 @@ class _FastLoop:
         self.term[rt, _REAL, tt] = term_contributions(coeff[tt], smom)
         joint = joint_mask(self.pairs[rk, kk])
         self.pair[rk, _REAL, kk] = pair_contributions(
-            coeff, pair_i[kk], pair_j[kk], kk.size, np.flatnonzero(joint), pmom[joint]
+            coeff, pair_i[kk], pair_j[kk], kk.size, np.flatnonzero(joint),
+            pair_covariance(pmom[joint]),
         )
 
         d = self.double[rt]
@@ -392,7 +394,8 @@ class _FastLoop:
         joint = joint_mask(rows)
         mp = self._evaluate(engine.pair_block, rows[joint], runs[joint], live)
         self.pair[runs, variant, cols] = pair_contributions(
-            coeff, pair_i[cols], pair_j[cols], cols.size, np.flatnonzero(joint), mp
+            coeff, pair_i[cols], pair_j[cols], cols.size, np.flatnonzero(joint),
+            pair_covariance(mp),
         )
 
         return _clamped(
@@ -519,7 +522,7 @@ def _run_cohort(
         for r in live[done].tolist():
             led = loop.ledgers[r]
             led.singles, led.pairs = led.singles.copy(), led.pairs.copy()
-            report = estimate(led, obs, MomentEngine(configs[r].moments))
+            report = estimate(led, obs, engine)
             results[r] = AllocationResult(
                 ledger=led, report=report, trace=tuple(loop.traces[r])
             )

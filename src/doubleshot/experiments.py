@@ -35,7 +35,7 @@ from .allocator import (  # noqa: F401
 from .errors import InvalidInputError
 from .hamiltonians import load_builtin
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
-from .posterior import DEFAULT_CONFIG, MomentConfig
+from .posterior import DEFAULT_CONFIG, MomentConfig, phi_of_theta
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -131,7 +131,7 @@ def cover_for(obs: Observable) -> GroupCover:
     estimate degenerates to the identity offset with zero variance.
     """
     if obs.num_terms == 0:
-        return GroupCover(groups=(), membership=())
+        return GroupCover(groups=())
     return build_group_cover(obs)
 
 
@@ -540,7 +540,7 @@ def reference_report(
                 "string": str(term.string),
                 "coefficient": term.coefficient,
                 "theta": theta,
-                "phi": theta * theta + (1.0 - theta) * (1.0 - theta),
+                "phi": phi_of_theta(theta),
             }
         )
     mean = exact_mean(obs, state)

@@ -18,7 +18,6 @@ expectation-valued counts to a copy (see allocator module).
 """
 from __future__ import annotations
 
-import bisect
 import copy
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pauli import Observable, commutation_matrix
-from .posterior import MomentEngine, PairTally, SingleTally
+from .posterior import MomentEngine
 from .simulator import ShotOutcome
 
 _NEGATIVE_VARIANCE_FLOOR = -1e-9
@@ -36,6 +35,7 @@ _NEGATIVE_VARIANCE_FLOOR = -1e-9
 # the cell tables have one row per shot kind
 _KINDS = {"group": 0, "double": 1}
 _SIGNS = frozenset((1, -1))
+_INTEGRAL = (int, np.integer)
 # single-row column by kind and code: s+ and s- for a group shot, d+ and d-
 # for a double shot
 _SINGLE_CELLS = ((-1, 0, 1), (-1, 2, 3))
@@ -65,7 +65,7 @@ class TallyLedger:
         # (2, q): each commuting pair's lower and higher term
         self.pair_ends = np.array(np.nonzero(commuting))
         self.pair_i, self.pair_j = self.pair_ends
-        # row-major nonzero order: the keys are sorted, for bisect
+        # row-major nonzero order: the keys are sorted
         self.pair_keys: tuple[tuple[int, int], ...] = tuple(
             zip(self.pair_i.tolist(), self.pair_j.tolist())
         )
@@ -87,27 +87,6 @@ class TallyLedger:
         dup.pairs = self.pairs.copy()
         return dup
 
-    # -- accessors ----------------------------------------------------------
-
-    def single_tally(self, i: int) -> SingleTally:
-        row = self.singles[i]
-        return SingleTally(row[0], row[1], row[2], row[3])
-
-    def pair_tally(self, i: int, j: int) -> PairTally:
-        if not self.is_tracked_pair(i, j):
-            raise KeyError((i, j))
-        row = self.pairs[bisect.bisect_left(self.pair_keys, (i, j))]
-        return PairTally(
-            s_joint=tuple(row[0:4]),
-            d_joint=tuple(row[4:8]),
-            s_i_indep=tuple(row[8:10]),
-            s_j_indep=tuple(row[10:12]),
-        )
-
-    def is_tracked_pair(self, i: int, j: int) -> bool:
-        k = bisect.bisect_left(self.pair_keys, (i, j))
-        return k < len(self.pair_keys) and self.pair_keys[k] == (i, j)
-
     # -- recording ----------------------------------------------------------
 
     def record(self, outcome: ShotOutcome) -> None:
@@ -115,13 +94,21 @@ class TallyLedger:
 
         Each measured term adds one count to its single cell, and each pair
         with a measured end adds one to the cell _PAIR_CELLS gives for the
-        codes of its two ends.  An integer index outside the terms, or a
-        value other than +1 or -1, is refused before any count moves.
+        codes of its two ends.  An index that is not an integer (a bool is
+        not one) or lies outside the terms, or a value other than +1 or -1,
+        is refused before any count moves.
         """
         kind = _KINDS.get(outcome.kind)
         if kind is None:
             raise InvalidInputError(f"unknown outcome kind {outcome.kind!r}")
         values, p = outcome.values, self.num_terms
+        # each key type checked once; a bool is an int but not a term index
+        types = set(map(type, values))
+        if bool in types or not all(issubclass(t, _INTEGRAL) for t in types):
+            bad = next(
+                i for i in values if type(i) is bool or not isinstance(i, _INTEGRAL)
+            )
+            raise InvalidInputError(f"outcome term index {bad!r} is not an integer")
         if values and (min(values) < 0 or max(values) >= p):
             bad = next(i for i in values if not 0 <= i < p)
             raise InvalidInputError(f"outcome term index {bad} outside 0..{p - 1}")
@@ -254,21 +241,25 @@ def term_contributions(coeff: np.ndarray, smom: np.ndarray) -> np.ndarray:
     return 4.0 * coeff * coeff * (smom[:, 1] - theta * theta)
 
 
+def pair_covariance(pmom: np.ndarray) -> np.ndarray:
+    """Same-posterior bracket E[theta_i theta_j] - E[theta_i] E[theta_j] per row."""
+    return pmom[:, 8] - pmom[:, 9] * pmom[:, 10]
+
+
 def pair_contributions(
     coeff: np.ndarray,
     pair_i: np.ndarray,
     pair_j: np.ndarray,
     num_pairs: int,
     joint_rows: np.ndarray,
-    pmom_joint: np.ndarray,
+    cov: np.ndarray,
 ) -> np.ndarray:
     """Per-pair contributions 8 c_i c_j Cov; zero for never-jointly-measured.
 
-    pmom_joint holds the moment rows for exactly the joint_rows indices.
+    cov holds the pair_covariance of exactly the joint_rows indices.
     """
     out = np.zeros(num_pairs)
     if joint_rows.size:
-        cov = pmom_joint[:, 8] - pmom_joint[:, 9] * pmom_joint[:, 10]
         out[joint_rows] = (
             8.0 * coeff[pair_i[joint_rows]] * coeff[pair_j[joint_rows]] * cov
         )
@@ -335,19 +326,18 @@ def estimate(
         if joint_rows.size
         else np.zeros((0, 11))
     )
+    cov = pair_covariance(pmom_joint)
     pair_contrib = pair_contributions(
-        coeff, ledger.pair_i, ledger.pair_j, ledger.num_pairs,
-        joint_rows, pmom_joint,
+        coeff, ledger.pair_i, ledger.pair_j, ledger.num_pairs, joint_rows, cov,
     )
     variance = clamped_variance(float(np.sum(term_contrib) + np.sum(pair_contrib)))
 
     per_pair = []
     for pos, k in enumerate(joint_rows):
         i, j = ledger.pair_keys[k]
-        cov = float(pmom_joint[pos, 8] - pmom_joint[pos, 9] * pmom_joint[pos, 10])
         per_pair.append(
             PairReport(
-                i=i, j=j, covariance=cov,
+                i=i, j=j, covariance=float(cov[pos]),
                 contribution=float(pair_contrib[k]),
             )
         )

@@ -230,7 +230,6 @@ class GroupCover:
     """Overlapping cover of term indices by commuting cliques."""
 
     groups: tuple[tuple[int, ...], ...]
-    membership: tuple[tuple[int, ...], ...]
 
     @property
     def num_groups(self) -> int:
@@ -286,12 +285,4 @@ def build_group_cover(obs: Observable) -> GroupCover:
         groups.append(group)
         for i in group:
             covered[i] = True
-
-    membership: list[list[int]] = [[] for _ in range(p)]
-    for gid, group in enumerate(groups):
-        for i in group:
-            membership[i].append(gid)
-    return GroupCover(
-        groups=tuple(groups),
-        membership=tuple(tuple(m) for m in membership),
-    )
+    return GroupCover(groups=tuple(groups))

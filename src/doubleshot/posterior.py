@@ -46,92 +46,6 @@ _SINGLE_NODES = 512
 _ROW_KEY_WEIGHTS = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 
 
-def _check_counts(values, what: str):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"non-finite {what} counts: {values!r}")
-    if np.any(arr < 0):
-        raise InvalidInputError(f"negative {what} counts: {values!r}")
-
-
-@dataclass(frozen=True)
-class SingleTally:
-    """Counts feeding the single-term posterior; reals admit virtual fractions."""
-
-    s_plus: float = 0.0
-    s_minus: float = 0.0
-    d_plus: float = 0.0
-    d_minus: float = 0.0
-
-    def __post_init__(self):
-        _check_counts(
-            (self.s_plus, self.s_minus, self.d_plus, self.d_minus), "single"
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.s_plus, self.s_minus, self.d_plus, self.d_minus], dtype=float
-        )
-
-
-@dataclass(frozen=True)
-class PairTally:
-    """Counts feeding one commuting pair's posterior.
-
-    s_i_indep / s_j_indep are the single-scheme counts of each term measured
-    in a context that did not include the other term.
-    """
-
-    s_joint: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    d_joint: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    s_i_indep: tuple[float, float] = (0.0, 0.0)
-    s_j_indep: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        for name in ("s_joint", "d_joint"):
-            if len(getattr(self, name)) != 4:
-                raise InvalidInputError(f"{name} needs 4 entries")
-        for name in ("s_i_indep", "s_j_indep"):
-            if len(getattr(self, name)) != 2:
-                raise InvalidInputError(f"{name} needs 2 entries")
-        _check_counts(self.as_array(), "pair")
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.asarray(self.s_joint, dtype=float),
-                np.asarray(self.d_joint, dtype=float),
-                np.asarray(self.s_i_indep, dtype=float),
-                np.asarray(self.s_j_indep, dtype=float),
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class SingleMoments:
-    theta: float
-    theta_sq: float
-    phi: float
-
-    @property
-    def variance(self) -> float:
-        return self.theta_sq - self.theta * self.theta
-
-
-@dataclass(frozen=True)
-class PairMoments:
-    theta_joint: tuple[float, float, float, float]
-    phi_joint: tuple[float, float, float, float]
-    theta_prod: float
-    theta_i: float
-    theta_j: float
-
-    @property
-    def covariance(self) -> float:
-        """Same-posterior bracket: E[theta_i theta_j] - E[theta_i] E[theta_j]."""
-        return self.theta_prod - self.theta_i * self.theta_j
-
-
 @dataclass(frozen=True)
 class MomentConfig:
     """Cells per axis of the pair quadrature's midpoint grid."""
@@ -494,24 +408,3 @@ class MomentEngine:
         out[:, 10] = tj
         return out
 
-
-def single_moments(
-    tally: SingleTally, config: MomentConfig = DEFAULT_CONFIG
-) -> SingleMoments:
-    """Posterior means of theta, theta^2, phi for one term."""
-    row = MomentEngine(config).single_block(tally.as_array()[None, :])[0]
-    return SingleMoments(theta=row[0], theta_sq=row[1], phi=row[2])
-
-
-def pair_moments(
-    tally: PairTally, config: MomentConfig = DEFAULT_CONFIG
-) -> PairMoments:
-    """Posterior means of the joint-outcome functionals for one commuting pair."""
-    row = MomentEngine(config).pair_block(tally.as_array()[None, :])[0]
-    return PairMoments(
-        theta_joint=tuple(row[0:4]),
-        phi_joint=tuple(row[4:8]),
-        theta_prod=row[8],
-        theta_i=row[9],
-        theta_j=row[10],
-    )

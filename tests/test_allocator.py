@@ -132,18 +132,17 @@ class TestVirtualUpdate:
             led, MeasurementAction(kind="group", group=group_idx), cover, engine
         )
         # Flat factorized pair posterior: every joint cell mean is 1/4.
+        row = dict(zip(hypo.pair_keys, hypo.pairs))
         for i, j in [(2, 3), (2, 4), (3, 4)]:
-            assert hypo.pair_tally(i, j).s_joint == pytest.approx(
+            assert row[i, j][0:4] == pytest.approx(
                 (0.25, 0.25, 0.25, 0.25), abs=1e-12
             )
         # Pairs with one endpoint outside the group get independent-count
         # splits by that endpoint's posterior mean (flat: 1/2).
-        assert hypo.pair_tally(0, 2).s_j_indep == pytest.approx(
-            (0.5, 0.5), abs=1e-12
-        )
-        assert hypo.pair_tally(0, 2).s_i_indep == (0.0, 0.0)
+        assert row[0, 2][10:12] == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert row[0, 2][8:10].tolist() == [0.0, 0.0]
         # Pairs fully outside stay untouched.
-        assert hypo.pair_tally(0, 1).s_joint == (0.0, 0.0, 0.0, 0.0)
+        assert row[0, 1][0:4].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_double_splits_joint_phi_cells(self):
         obs, cover, _ = toy_problem()
@@ -155,8 +154,7 @@ class TestVirtualUpdate:
         # Flat factorized pair: joint phi means are the products of the
         # marginal phi means (2/3 each), halved for the two-shot cost.
         expected = 0.5 * np.array([4.0, 2.0, 2.0, 1.0]) / 9.0
-        for i, j in led.pair_keys:
-            d_joint = np.array(hypo.pair_tally(i, j).d_joint)
+        for d_joint in hypo.pairs[:, 4:8]:
             assert d_joint == pytest.approx(expected, abs=1e-12)
             assert d_joint.sum() == pytest.approx(0.5, abs=1e-12)
 

@@ -16,14 +16,21 @@ fails the test.
 The third scan checks the declared dependencies: every top-level module the
 package imports must be in the standard library or named in ``[project]
 dependencies`` of ``pyproject.toml``.
+
+The fourth scan checks the package's exports: ``doubleshot.__all__`` names
+each export once, and each name in it is an attribute of the package, so
+``from doubleshot import *`` cannot fail on a name left behind.
 """
 
 import ast
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import doubleshot
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "doubleshot"
@@ -183,3 +190,21 @@ def test_scan_finds_an_undeclared_import():
 def test_module_imports_only_declared_dependencies(module):
     source = module.read_text(encoding="utf-8")
     assert undeclared_imports(source, declared_dependencies()) == []
+
+
+def export_faults(module: types.ModuleType) -> list[str]:
+    """Names *module* lists in ``__all__`` twice, or that it does not define."""
+    names = list(module.__all__)
+    twice = {name for name in names if names.count(name) > 1}
+    return sorted(twice | {name for name in names if not hasattr(module, name)})
+
+
+def test_scan_finds_a_stale_export():
+    module = types.ModuleType("fake")
+    module.kept = module.twice = object()
+    module.__all__ = ["kept", "twice", "stale", "twice"]
+    assert export_faults(module) == ["stale", "twice"]
+
+
+def test_package_exports_are_defined_once():
+    assert export_faults(doubleshot) == []

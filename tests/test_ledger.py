@@ -1,6 +1,5 @@
 """Tests for the tally ledger: recording, integrity checks, and estimates."""
 
-import itertools
 import json
 import math
 
@@ -18,11 +17,21 @@ from doubleshot.ledger import (
     joint_mask,
 )
 from doubleshot.pauli import observable_from_pairs, parse_observable
-from doubleshot.posterior import MomentConfig, MomentEngine, PairTally
+from doubleshot.posterior import MomentConfig, MomentEngine
 from doubleshot.simulator import ShotOutcome, ground_state, sample_group_shot
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
 ORACLE = MomentConfig.oracle()
+
+# columns of a single count row and of a pair count row
+S_PLUS, S_MINUS = 0, 1
+S_JOINT, D_JOINT = slice(0, 4), slice(4, 8)
+S_I_INDEP, S_J_INDEP = slice(8, 10), slice(10, 12)
+
+
+def pair_row(led, i, j):
+    """The count row of tracked pair (i, j)."""
+    return led.pairs[led.pair_keys.index((i, j))]
 
 
 def toy_obs():
@@ -44,8 +53,8 @@ class TestConstruction:
         # cross pairs (IX,YY), (IX,ZZ), (XI,YY), (XI,ZZ) anticommute.
         assert led.pair_keys == ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
         assert led.num_pairs == 6
-        assert led.is_tracked_pair(2, 3)
-        assert not led.is_tracked_pair(0, 3)
+        assert (2, 3) in led.pair_keys
+        assert (0, 3) not in led.pair_keys
 
     def test_starts_empty(self):
         led = TallyLedger(toy_obs())
@@ -69,17 +78,17 @@ class TestRecordGroup:
     def test_joint_and_independent_bins(self):
         led = TallyLedger(toy_obs())
         led.record(group({0: 1, 1: -1}))
-        assert led.single_tally(0).s_plus == 1
-        assert led.single_tally(1).s_minus == 1
+        assert led.singles[0, S_PLUS] == 1
+        assert led.singles[1, S_MINUS] == 1
         # (0,1) was hit jointly with outcomes (+, -): second joint cell.
-        assert led.pair_tally(0, 1).s_joint == (0.0, 1.0, 0.0, 0.0)
+        assert pair_row(led, 0, 1)[S_JOINT].tolist() == [0.0, 1.0, 0.0, 0.0]
         # (0,2) and (1,2) each saw only one endpoint.
-        assert led.pair_tally(0, 2).s_i_indep == (1.0, 0.0)
-        assert led.pair_tally(0, 2).s_joint == (0.0, 0.0, 0.0, 0.0)
-        assert led.pair_tally(1, 2).s_i_indep == (0.0, 1.0)
+        assert pair_row(led, 0, 2)[S_I_INDEP].tolist() == [1.0, 0.0]
+        assert pair_row(led, 0, 2)[S_JOINT].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert pair_row(led, 1, 2)[S_I_INDEP].tolist() == [0.0, 1.0]
         # Pairs not touching term 0 or 1 stay empty.
-        assert not any(led.pair_tally(3, 4).s_joint)
-        assert not any(led.pair_tally(3, 4).s_i_indep)
+        assert not any(pair_row(led, 3, 4)[S_JOINT])
+        assert not any(pair_row(led, 3, 4)[S_I_INDEP])
         assert led.shots_taken == 1
         assert led.double_shots == 0
         led.validate()
@@ -89,11 +98,11 @@ class TestRecordGroup:
         for oi, oj in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             led = TallyLedger(toy_obs())
             led.record(group({3: oi, 4: oj}))
-            cells[(oi, oj)] = led.pair_tally(3, 4).s_joint
-        assert cells[(1, 1)] == (1.0, 0.0, 0.0, 0.0)
-        assert cells[(1, -1)] == (0.0, 1.0, 0.0, 0.0)
-        assert cells[(-1, 1)] == (0.0, 0.0, 1.0, 0.0)
-        assert cells[(-1, -1)] == (0.0, 0.0, 0.0, 1.0)
+            cells[(oi, oj)] = pair_row(led, 3, 4)[S_JOINT].tolist()
+        assert cells[(1, 1)] == [1.0, 0.0, 0.0, 0.0]
+        assert cells[(1, -1)] == [0.0, 1.0, 0.0, 0.0]
+        assert cells[(-1, 1)] == [0.0, 0.0, 1.0, 0.0]
+        assert cells[(-1, -1)] == [0.0, 0.0, 0.0, 1.0]
 
     def test_separate_singles_count_as_independent(self):
         # Two solo shots of term 0 followed by one joint shot of (0, 1):
@@ -103,12 +112,12 @@ class TestRecordGroup:
         led.record(group({0: 1}))
         led.record(group({0: 1}))
         led.record(group({0: 1, 1: 1}))
-        tally = led.pair_tally(0, 1)
-        assert tally.s_joint == (1.0, 0.0, 0.0, 0.0)
-        assert tally.s_i_indep == (2.0, 0.0)
-        assert tally.s_j_indep == (0.0, 0.0)
-        assert led.single_tally(0).s_plus == 3
-        assert led.single_tally(1).s_plus == 1
+        row = pair_row(led, 0, 1)
+        assert row[S_JOINT].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert row[S_I_INDEP].tolist() == [2.0, 0.0]
+        assert row[S_J_INDEP].tolist() == [0.0, 0.0]
+        assert led.singles[0, S_PLUS] == 3
+        assert led.singles[1, S_PLUS] == 1
         led.validate()
 
     def test_rejects_out_of_range_index(self):
@@ -117,6 +126,15 @@ class TestRecordGroup:
             led.record(group({5: 1}))
         with pytest.raises(InvalidInputError):
             led.record(group({-1: 1}))
+
+    def test_numpy_integer_indices_count_like_ints(self):
+        led, ref = TallyLedger(toy_obs()), TallyLedger(toy_obs())
+        for make, values in ((group, {0: 1, 2: -1}), (double, dict.fromkeys(range(5), 1))):
+            led.record(make({np.int64(i): o for i, o in values.items()}))
+            ref.record(make(values))
+        assert np.array_equal(led.singles, ref.singles)
+        assert np.array_equal(led.pairs, ref.pairs)
+        assert (led.shots_taken, led.double_shots) == (2, 1)
 
     def test_rejects_unknown_kind(self):
         led = TallyLedger(toy_obs())
@@ -132,11 +150,11 @@ class TestRecordDouble:
         assert np.array_equal(led.singles[:, 3], [0, 1, 0, 1, 0])
         # Every tracked pair receives exactly one joint doubled count, in the
         # cell matching its endpoints' signs.
-        assert led.pair_tally(0, 1).d_joint == (0.0, 1.0, 0.0, 0.0)
-        assert led.pair_tally(0, 2).d_joint == (1.0, 0.0, 0.0, 0.0)
-        assert led.pair_tally(3, 4).d_joint == (0.0, 0.0, 1.0, 0.0)
+        assert pair_row(led, 0, 1)[D_JOINT].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert pair_row(led, 0, 2)[D_JOINT].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert pair_row(led, 3, 4)[D_JOINT].tolist() == [0.0, 0.0, 1.0, 0.0]
         for i, j in led.pair_keys:
-            assert sum(led.pair_tally(i, j).d_joint) == 1.0
+            assert sum(pair_row(led, i, j)[D_JOINT]) == 1.0
         assert led.shots_taken == 1
         assert led.double_shots == 1
         assert led.effective_shots == 2
@@ -149,9 +167,9 @@ class TestRecordDouble:
         led.record(double({0: 1, 1: 1, 2: -1}))
         assert np.array_equal(led.singles[:, 2], [1, 1, 0])
         assert np.array_equal(led.singles[:, 3], [0, 0, 1])
-        assert led.pair_tally(0, 1).d_joint == (1.0, 0.0, 0.0, 0.0)
-        assert led.pair_tally(0, 2).d_joint == (0.0, 1.0, 0.0, 0.0)
-        assert led.pair_tally(1, 2).d_joint == (0.0, 1.0, 0.0, 0.0)
+        assert pair_row(led, 0, 1)[D_JOINT].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert pair_row(led, 0, 2)[D_JOINT].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert pair_row(led, 1, 2)[D_JOINT].tolist() == [0.0, 1.0, 0.0, 0.0]
         led.validate()
 
     def test_rejects_partial_coverage(self):
@@ -198,9 +216,8 @@ class TestBookkeeping:
         for outcome in shots:
             led.record(outcome)
         mask = joint_mask(led.pairs)
-        for k, (i, j) in enumerate(led.pair_keys):
-            tally = led.pair_tally(i, j)
-            has_joint = any(tally.s_joint) or any(tally.d_joint)
+        for k, row in enumerate(led.pairs):
+            has_joint = any(row[S_JOINT]) or any(row[D_JOINT])
             assert mask[k] == has_joint
 
 
@@ -329,33 +346,6 @@ class TestRecordAgainstReference:
         assert np.array_equal(singles[run] - before[0][run], ref.singles)
         assert np.array_equal(pairs[run] - before[1][run], ref.pairs)
 
-    @settings(max_examples=60, deadline=None)
-    @given(observable_and_shots())
-    def test_pair_lookup_matches_a_dict(self, case):
-        obs, shots = case
-        led, ref = TallyLedger(obs), ReferenceLedger(obs)
-        for outcome in shots:
-            led.record(outcome)
-            ref.record(outcome)
-        # the lookup it replaced: a dict from pair to row, KeyError off it
-        index = {key: k for k, key in enumerate(ref.pair_keys)}
-        span = range(-1, obs.num_terms + 1)
-        for i, j in itertools.product(span, span):
-            for key in ((i, j), (np.int64(i), np.int64(j))):
-                assert led.is_tracked_pair(*key) == (key in index)
-                if key in index:
-                    row = ref.pairs[index[key]]
-                    assert led.pair_tally(*key) == PairTally(
-                        s_joint=tuple(row[0:4]),
-                        d_joint=tuple(row[4:8]),
-                        s_i_indep=tuple(row[8:10]),
-                        s_j_indep=tuple(row[10:12]),
-                    )
-                else:
-                    with pytest.raises(KeyError) as got:
-                        led.pair_tally(*key)
-                    assert got.value.args == (key,)
-
 
 class TestRecordRefusesBadValues:
     @pytest.mark.parametrize(
@@ -369,10 +359,16 @@ class TestRecordRefusesBadValues:
             double({0: 1, 1: -1, 2: 2, 3: 1, 4: 1}),
             group({0: 1, 7: 1}),
             double({0: 1, 1: -1, 2: 1, 3: 1, 9: 1}),
+            group({0: 1, 1.5: 1}),
+            group({True: 1}),
+            double({0: 1, 1: -1, 2: 1, 3: -1, 4.0: 1}),
+            double({False: 1, True: -1, 2: 1, 3: -1, 4: 1}),
         ],
         ids=[
             "group-zero", "group-five", "group-half", "group-minus-two",
             "double-all-zero", "double-two", "group-index", "double-index",
+            "group-float-index", "group-bool-index", "double-float-index",
+            "double-bool-index",
         ],
     )
     def test_refused_outcome_moves_no_count(self, outcome):

@@ -217,7 +217,6 @@ class TestGroupCover:
     def test_single_term(self):
         cover = build_group_cover(parse_observable("0.7 XY"))
         assert cover.groups == ((0,),)
-        assert cover.membership == ((0,),)
 
     def test_anticommuting_set_gives_singletons(self):
         obs = parse_observable("1.0 XI\n1.0 YI\n1.0 ZI")
@@ -238,10 +237,6 @@ class TestGroupCover:
                 assert commutes(obs.terms[i].string, obs.terms[j].string)
             covered.update(group)
         assert covered == set(range(obs.num_terms))
-        for idx, owners in enumerate(cover.membership):
-            assert owners
-            for g in owners:
-                assert idx in cover.groups[g]
 
     def test_deterministic(self):
         obs = parse_observable(TOY_TEXT)

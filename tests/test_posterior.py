@@ -11,20 +11,42 @@ from doubleshot.errors import InvalidInputError, NumericalError
 from doubleshot.posterior import (
     MomentConfig,
     MomentEngine,
-    PairTally,
-    SingleTally,
     _PairGrid,
     _SingleGrid,
     mcmc_pair_block,
     mcmc_sample,
-    pair_moments,
     phi_joint_of_theta_joint,
     phi_of_theta,
-    single_moments,
 )
 
 ORACLE = MomentConfig.oracle()
 DEFAULT = MomentConfig()
+
+# columns of a single-term moment row
+THETA, THETA_SQ, PHI = 0, 1, 2
+# columns of a pair moment row
+THETA_JOINT, PHI_JOINT = slice(0, 4), slice(4, 8)
+THETA_PROD, THETA_I, THETA_J = 8, 9, 10
+
+
+def single_row(counts, config):
+    """Moment row of one single-term count row (s+, s-, d+, d-)."""
+    return MomentEngine(config).single_block(np.array([counts], dtype=float))[0]
+
+
+def pair_counts(s_joint, d_joint, s_i_indep, s_j_indep):
+    """One pair count row, its 12 columns in pair_block's order."""
+    return np.concatenate([s_joint, d_joint, s_i_indep, s_j_indep]).astype(float)
+
+
+def pair_row(counts, config):
+    """Moment row of one pair count row."""
+    return MomentEngine(config).pair_block(counts[None, :])[0]
+
+
+def covariance(m):
+    return m[THETA_PROD] - m[THETA_I] * m[THETA_J]
+
 
 counts_st = st.floats(min_value=0, max_value=40, allow_nan=False)
 int_counts_st = st.integers(min_value=0, max_value=60)
@@ -85,82 +107,76 @@ class TestPhiJointMap:
 
 class TestSingleMoments:
     def test_flat_prior(self):
-        m = single_moments(SingleTally(0, 0, 0, 0), DEFAULT)
-        assert m.theta == 0.5  # exact, by symmetry short-circuit
-        assert m.theta_sq == pytest.approx(1 / 3, abs=1e-12)
-        assert m.phi == pytest.approx(2 / 3, abs=1e-12)
+        m = single_row((0, 0, 0, 0), DEFAULT)
+        assert m[THETA] == 0.5  # exact, by symmetry short-circuit
+        assert m[THETA_SQ] == pytest.approx(1 / 3, abs=1e-12)
+        assert m[PHI] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_beta_2_1(self):
-        m = single_moments(SingleTally(1, 0, 0, 0), DEFAULT)
-        assert m.theta == pytest.approx(2 / 3, abs=1e-12)
-        assert m.theta_sq == pytest.approx(1 / 2, abs=1e-12)
+        m = single_row((1, 0, 0, 0), DEFAULT)
+        assert m[THETA] == pytest.approx(2 / 3, abs=1e-12)
+        assert m[THETA_SQ] == pytest.approx(1 / 2, abs=1e-12)
 
     @pytest.mark.parametrize("sp,sm", [(3, 0), (7, 3), (0, 9), (20, 20), (50, 1)])
     def test_beta_closed_forms(self, sp, sm):
         n = sp + sm
-        m = single_moments(SingleTally(sp, sm, 0, 0), DEFAULT)
-        assert m.theta == pytest.approx((sp + 1) / (n + 2), abs=1e-8)
-        assert m.theta_sq == pytest.approx(
+        m = single_row((sp, sm, 0, 0), DEFAULT)
+        assert m[THETA] == pytest.approx((sp + 1) / (n + 2), abs=1e-8)
+        assert m[THETA_SQ] == pytest.approx(
             (sp + 2) * (sp + 1) / ((n + 3) * (n + 2)), abs=1e-8
         )
 
     def test_sign_blind_bimodal(self):
-        m = single_moments(SingleTally(0, 0, 40, 10), DEFAULT)
-        assert m.theta == 0.5  # exactly, by theta <-> 1-theta symmetry
-        assert m.theta_sq > 0.25
+        m = single_row((0, 0, 40, 10), DEFAULT)
+        assert m[THETA] == 0.5  # exactly, by theta <-> 1-theta symmetry
+        assert m[THETA_SQ] > 0.25
 
     @given(
         st.tuples(counts_st, counts_st, counts_st, counts_st),
     )
     @settings(max_examples=80, deadline=None)
     def test_variance_nonnegative_and_phi_identity(self, counts):
-        m = single_moments(SingleTally(*counts), DEFAULT)
-        assert 0.0 <= m.theta <= 1.0
-        assert m.theta_sq >= m.theta * m.theta - 1e-12
-        assert 0.0 <= m.phi <= 1.0
+        m = single_row(counts, DEFAULT)
+        assert 0.0 <= m[THETA] <= 1.0
+        assert m[THETA_SQ] >= m[THETA] * m[THETA] - 1e-12
+        assert 0.0 <= m[PHI] <= 1.0
         # phi = 2 theta^2 - 2 theta + 1 holds as an identity between means
-        assert m.phi == pytest.approx(2 * m.theta_sq - 2 * m.theta + 1, abs=1e-10)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SingleTally(-0.5, 0, 0, 0)
+        assert m[PHI] == pytest.approx(
+            2 * m[THETA_SQ] - 2 * m[THETA] + 1, abs=1e-10
+        )
 
 
 class TestPairMoments:
     def test_flat_prior_factorizes(self):
-        m = pair_moments(PairTally((0,) * 4, (0,) * 4, (0, 0), (0, 0)), DEFAULT)
-        assert np.allclose(m.theta_joint, [0.25] * 4, atol=1e-12)
-        assert m.theta_prod == pytest.approx(0.25, abs=1e-12)
-        assert m.theta_i == pytest.approx(0.5, abs=1e-12)
-        assert m.covariance == 0.0
+        m = pair_row(pair_counts((0,) * 4, (0,) * 4, (0, 0), (0, 0)), DEFAULT)
+        assert np.allclose(m[THETA_JOINT], [0.25] * 4, atol=1e-12)
+        assert m[THETA_PROD] == pytest.approx(0.25, abs=1e-12)
+        assert m[THETA_I] == pytest.approx(0.5, abs=1e-12)
+        assert covariance(m) == 0.0
 
     def test_dirichlet_2111(self):
-        m = pair_moments(
-            PairTally((1, 0, 0, 0), (0,) * 4, (0, 0), (0, 0)), ORACLE
-        )
-        assert np.allclose(m.theta_joint, [0.4, 0.2, 0.2, 0.2], atol=5e-4)
-        assert m.theta_prod == pytest.approx(11 / 30, abs=5e-4)
+        m = pair_row(pair_counts((1, 0, 0, 0), (0,) * 4, (0, 0), (0, 0)), ORACLE)
+        assert np.allclose(m[THETA_JOINT], [0.4, 0.2, 0.2, 0.2], atol=5e-4)
+        assert m[THETA_PROD] == pytest.approx(11 / 30, abs=5e-4)
         # cov = 11/30 - 0.6 * 0.6 = 1/150
-        assert m.covariance == pytest.approx(1 / 150, abs=5e-4)
+        assert covariance(m) == pytest.approx(1 / 150, abs=5e-4)
 
     def test_factorized_branch_exact(self):
         # no joint counts at all -> moments are exact products of 1-D posteriors
-        tally = PairTally((0,) * 4, (0,) * 4, (5, 2), (1, 3))
-        m = pair_moments(tally, DEFAULT)
-        si = single_moments(SingleTally(5, 2, 0, 0), DEFAULT)
-        sj = single_moments(SingleTally(1, 3, 0, 0), DEFAULT)
-        assert m.covariance == 0.0
-        assert m.theta_i == pytest.approx(si.theta, abs=1e-14)
-        assert m.theta_j == pytest.approx(sj.theta, abs=1e-14)
-        assert m.theta_prod == pytest.approx(si.theta * sj.theta, abs=1e-14)
+        m = pair_row(pair_counts((0,) * 4, (0,) * 4, (5, 2), (1, 3)), DEFAULT)
+        si = single_row((5, 2, 0, 0), DEFAULT)
+        sj = single_row((1, 3, 0, 0), DEFAULT)
+        assert covariance(m) == 0.0
+        assert m[THETA_I] == pytest.approx(si[THETA], abs=1e-14)
+        assert m[THETA_J] == pytest.approx(sj[THETA], abs=1e-14)
+        assert m[THETA_PROD] == pytest.approx(si[THETA] * sj[THETA], abs=1e-14)
 
     def test_single_consistency_invariant(self):
-        # all j-specific and joint counts zero -> i-marginal == single_moments
+        # all j-specific and joint counts zero -> i-marginal == single row
         for si_counts in [(3, 1), (0, 0), (10, 7)]:
-            tally = PairTally((0,) * 4, (0,) * 4, si_counts, (0, 0))
-            m = pair_moments(tally, DEFAULT)
-            s = single_moments(SingleTally(*si_counts, 0, 0), DEFAULT)
-            assert m.theta_i == pytest.approx(s.theta, abs=1e-6)
+            m = pair_row(pair_counts((0,) * 4, (0,) * 4, si_counts, (0, 0)), DEFAULT)
+            s = single_row((*si_counts, 0, 0), DEFAULT)
+            assert m[THETA_I] == pytest.approx(s[THETA], abs=1e-6)
 
     @given(
         st.tuples(*([int_counts_st] * 4)),
@@ -170,59 +186,38 @@ class TestPairMoments:
     )
     @settings(max_examples=40, deadline=None)
     def test_normalization_invariants(self, sj, dj, si, sk):
-        m = pair_moments(PairTally(sj, dj, si, sk), DEFAULT)
-        assert abs(sum(m.theta_joint) - 1.0) < 1e-9
-        assert abs(sum(m.phi_joint) - 1.0) < 1e-9
-        assert all(x >= 0 for x in m.theta_joint)
-        assert all(x >= 0 for x in m.phi_joint)
-        assert 0.0 <= m.theta_i <= 1.0
-        assert 0.0 <= m.theta_j <= 1.0
+        m = pair_row(pair_counts(sj, dj, si, sk), DEFAULT)
+        assert abs(sum(m[THETA_JOINT]) - 1.0) < 1e-9
+        assert abs(sum(m[PHI_JOINT]) - 1.0) < 1e-9
+        assert all(x >= 0 for x in m[THETA_JOINT])
+        assert all(x >= 0 for x in m[PHI_JOINT])
+        assert 0.0 <= m[THETA_I] <= 1.0
+        assert 0.0 <= m[THETA_J] <= 1.0
 
     def test_default_grid_tracks_oracle(self):
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(12):
-            tally = PairTally(
-                tuple(rng.integers(0, 6, 4).tolist()),
-                tuple(rng.integers(0, 5, 4).tolist()),
-                tuple(rng.integers(0, 8, 2).tolist()),
-                tuple(rng.integers(0, 8, 2).tolist()),
+            counts = pair_counts(
+                rng.integers(0, 6, 4),
+                rng.integers(0, 5, 4),
+                rng.integers(0, 8, 2),
+                rng.integers(0, 8, 2),
             )
-            a = pair_moments(tally, ORACLE)
-            b = pair_moments(tally, DEFAULT)
-            drift = max(
-                np.abs(np.subtract(a.theta_joint, b.theta_joint)).max(),
-                np.abs(np.subtract(a.phi_joint, b.phi_joint)).max(),
-                abs(a.theta_prod - b.theta_prod),
-                abs(a.theta_i - b.theta_i),
-                abs(a.theta_j - b.theta_j),
-            )
-            worst = max(worst, drift)
+            a = pair_row(counts, ORACLE)
+            b = pair_row(counts, DEFAULT)
+            # every column: theta_joint, phi_joint, theta_prod, theta_i, theta_j
+            worst = max(worst, np.abs(a - b).max())
         assert worst < 1e-2
 
     def test_posterior_concentration(self):
         theta_star = 0.73
         errors = []
         for n in (10, 100, 1000):
-            tally = SingleTally(theta_star * n, (1 - theta_star) * n, 0, 0)
-            m = single_moments(tally, DEFAULT)
-            errors.append(abs(m.theta - theta_star))
+            m = single_row((theta_star * n, (1 - theta_star) * n, 0, 0), DEFAULT)
+            errors.append(abs(m[THETA] - theta_star))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-3
-
-
-class TestMomentEngineCaching:
-    def test_block_matches_per_tally(self):
-        engine = MomentEngine(DEFAULT)
-        tallies = [SingleTally(2, 1, 0, 0), SingleTally(0, 0, 3, 1)]
-        block = engine.single_block(
-            np.array([t.as_array() for t in tallies])
-        )
-        for row, tally in zip(block, tallies):
-            m = single_moments(tally, DEFAULT)
-            assert row[0] == m.theta
-            assert row[1] == m.theta_sq
-            assert row[2] == m.phi
 
 
 class TestBatchInvariance:
@@ -340,7 +335,7 @@ class TestMcmc:
         assert samples[:, 0].mean() == pytest.approx(2 / 3, abs=0.01)
 
     def test_pair_tally_matches_quadrature(self):
-        row = PairTally((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0)).as_array()[None, :]
+        row = pair_counts((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0))[None, :]
         q = MomentEngine(ORACLE).pair_block(row)[0]
         m = mcmc_pair_block(row)[0]
         assert np.allclose(m[0:4], q[0:4], atol=1e-2)  # theta_joint
@@ -350,8 +345,8 @@ class TestMcmc:
     def test_deterministic_given_config(self):
         # the chain settings are fixed and each row seeds its own chain, so
         # a row gets the same moments again, alone or in a batch
-        row = PairTally((2, 0, 1, 0), (1, 1, 0, 0), (2, 1), (0, 0)).as_array()
-        other = PairTally((1, 0, 0, 1), (0,) * 4, (0, 0), (1, 0)).as_array()
+        row = pair_counts((2, 0, 1, 0), (1, 1, 0, 0), (2, 1), (0, 0))
+        other = pair_counts((1, 0, 0, 1), (0,) * 4, (0, 0), (1, 0))
         a = mcmc_pair_block(row[None, :])
         b = mcmc_pair_block(np.stack([other, row]))
         assert np.array_equal(a[0], b[1])
