@@ -62,7 +62,6 @@ from .pauli import (
 )
 from .posterior import (
     DEFAULT_CONFIG,
-    MomentConfig,
     MomentEngine,
     phi_of_theta,
     phi_joint_of_theta_joint,
@@ -95,7 +94,6 @@ __all__ = [
     "InvalidInputError",
     "IsingSpec",
     "MeasurementAction",
-    "MomentConfig",
     "MomentEngine",
     "NumericalError",
     "Observable",

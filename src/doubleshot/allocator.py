@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .ledger import (
+    _INTEGRAL,
     EstimateReport,
     TallyLedger,
     clamped_variance,
@@ -50,7 +51,7 @@ from .ledger import (
     term_contributions,
 )
 from .pauli import GroupCover, Observable, commutation_matrix
-from .posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
+from .posterior import DEFAULT_CONFIG, MomentEngine
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -85,21 +86,29 @@ class MeasurementAction:
         return 1 if self.kind == "group" else 2
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither here."""
+    return isinstance(value, _INTEGRAL) and type(value) is not bool
+
+
+def _require_integer(name: str, value, minimum: int) -> None:
+    """Refuse a value that is not an integer or is below minimum."""
+    if not _is_integer(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class AllocationConfig:
     budget: int
     enable_double: bool = True
-    moments: MomentConfig = DEFAULT_CONFIG
     seed: int | None = None
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise InvalidInputError(f"budget must be >= 1, got {self.budget}")
-        if self.max_qubits < 1:
-            raise InvalidInputError(
-                f"max_qubits must be >= 1, got {self.max_qubits}"
-            )
+        _require_integer("budget", self.budget, 1)
+        _require_integer("max_qubits", self.max_qubits, 1)
 
 
 @dataclass(frozen=True)
@@ -236,6 +245,32 @@ def virtual_update(
     return out
 
 
+def _check_cover(obs: Observable, cover: GroupCover) -> None:
+    """Refuse a cover whose groups are not all measurable as given.
+
+    Every group must be non-empty, name its terms by distinct integer
+    indices (a bool is not one) in range, and hold pairwise commuting terms.
+    """
+    p = obs.num_terms
+    commuting = commutation_matrix(obs.strings())
+    for g, group in enumerate(cover.groups):
+        if not group:
+            raise InvalidInputError(f"cover group {g} is empty")
+        if not all(map(_is_integer, group)):
+            raise InvalidInputError(
+                f"cover group {g} {group!r} holds an index that is not an integer"
+            )
+        if len(set(group)) < len(group) or min(group) < 0 or max(group) >= p:
+            raise InvalidInputError(
+                f"cover group {g} {group!r} needs distinct indices in 0..{p - 1}"
+            )
+        members = np.asarray(group, dtype=np.intp)
+        if not commuting[np.ix_(members, members)].all():
+            raise InvalidInputError(
+                f"cover group {g} {group!r} holds anticommuting terms"
+            )
+
+
 def choose_action(
     ledger: TallyLedger,
     obs: Observable,
@@ -245,15 +280,15 @@ def choose_action(
     """Reference chooser: rebuild every hypothetical ledger and estimate it.
 
     Ties resolve to the first candidate in order (groups by index, double
-    last), so equal predictions prefer the cheaper action.  Moments follow
-    config.moments.
+    last), so equal predictions prefer the cheaper action.  Moments come
+    from DEFAULT_CONFIG.
     """
     remaining = config.budget - ledger.effective_shots
     if remaining < 1:
         raise InvalidInputError("no budget remaining")
     if cover.num_groups == 0:
         raise InvalidInputError("no measurable groups")
-    engine = MomentEngine(config.moments)
+    _check_cover(obs, cover)
     actions = [
         MeasurementAction(kind="group", group=g) for g in range(cover.num_groups)
     ]
@@ -261,8 +296,8 @@ def choose_action(
         actions.append(MeasurementAction(kind="double"))
     best, best_var = None, None
     for action in actions:
-        hypo = virtual_update(ledger, action, cover, engine)
-        var = estimate(hypo, obs, engine).variance
+        hypo = virtual_update(ledger, action, cover, DEFAULT_CONFIG)
+        var = estimate(hypo, obs, DEFAULT_CONFIG).variance
         if best_var is None or var < best_var:
             best, best_var = action, var
     return best
@@ -563,6 +598,7 @@ def run_allocations(
     state: StateVector,
     cover: GroupCover,
     configs: list[AllocationConfig],
+    engine: MomentEngine = DEFAULT_CONFIG,
 ) -> list[AllocationResult]:
     """One allocation run per config, in order, run in cohorts.
 
@@ -570,14 +606,12 @@ def run_allocations(
     program (see _FastLoop): each re-evaluation phase is one engine call
     holding the rows of every live run, and a run leaves the cohort when
     its budget is spent.  Each run keeps its own ledger, rng and trace, and
-    gets the same bits as alone.  The configs must share their moment
-    settings, since every engine call serves several runs.
+    gets the same bits as alone.  One engine serves every run of the call.
+    The cover is checked before any shot.
     """
     if not configs:
         return []
-    if any(config.moments != configs[0].moments for config in configs):
-        raise InvalidInputError("the configs of one call must share their moments")
-    engine = MomentEngine(configs[0].moments)
+    _check_cover(obs, cover)
     shots = _Shots(obs, state, cover)
     # a lone run needs no cohort, nor the pair scan that sizes one
     size = cohort_size(obs) if len(configs) > 1 else 1

@@ -29,13 +29,15 @@ import numpy as np
 from .allocator import (  # noqa: F401
     AllocationConfig,
     AllocationResult,
+    _is_integer,
+    _require_integer,
     run_allocation,
     run_allocations,
 )
 from .errors import InvalidInputError
 from .hamiltonians import load_builtin
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
-from .posterior import DEFAULT_CONFIG, MomentConfig, phi_of_theta
+from .posterior import DEFAULT_CONFIG, MomentEngine, phi_of_theta
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -70,7 +72,8 @@ class ExperimentSpec:
 
     ``observable_source`` is a file path or ``builtin:<name>`` with name in
     BUILTIN_NAMES; ``state_source`` is ``ground-state`` or an amplitude-file
-    path.  ``budgets`` are effective-shot caps, strictly increasing.
+    path.  ``budgets`` are effective-shot caps, strictly increasing, stored
+    as ``int``; a float budget is taken only if its value is whole.
     """
 
     observable_source: str
@@ -82,11 +85,12 @@ class ExperimentSpec:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
-        if self.repetitions < 1:
-            raise InvalidInputError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
+        budgets = tuple(self.budgets)
+        for b in budgets:
+            if not (_is_integer(b) or isinstance(b, float) and b.is_integer()):
+                raise InvalidInputError(f"budget must be an integer, got {b!r}")
+        object.__setattr__(self, "budgets", tuple(int(b) for b in budgets))
+        _require_integer("repetitions", self.repetitions, 1)
         if not self.budgets:
             raise InvalidInputError("at least one budget is required")
         if any(b < 1 for b in self.budgets):
@@ -95,12 +99,8 @@ class ExperimentSpec:
             raise InvalidInputError(
                 f"budgets must be strictly increasing, got {self.budgets}"
             )
-        if self.max_qubits < 1:
-            raise InvalidInputError(
-                f"max_qubits must be >= 1, got {self.max_qubits}"
-            )
-        if self.base_seed < 0:
-            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
+        _require_integer("max_qubits", self.max_qubits, 1)
+        _require_integer("base_seed", self.base_seed, 0)
 
 
 def resolve_observable(source: str) -> Observable:
@@ -148,7 +148,7 @@ def run_repetitions(
     repetitions: int,
     enable_double: bool,
     base_seed: int,
-    moments: MomentConfig,
+    moments: MomentEngine,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> list[AllocationResult]:
     """Run seeded repetitions, ordered by repetition index.
@@ -158,21 +158,20 @@ def run_repetitions(
     size the observable sets, so memory is bounded by one cohort.  A step
     of a cohort is one array program: one gather predicts every run's
     candidates, each run draws its shot from its own rng, and each moment
-    evaluation is one engine call for the whole cohort.  The engine holds
-    no state and gives a row the same bits in any batch, so each repetition
-    gives the same bits as run alone.
+    evaluation is one call of the engine *moments* for the whole cohort.
+    The engine holds no state and gives a row the same bits in any batch,
+    so each repetition gives the same bits as run alone.
     """
     configs = [
         AllocationConfig(
             budget=budget,
             enable_double=enable_double,
-            moments=moments,
             seed=rep_seed(base_seed, rep),
             max_qubits=max_qubits,
         )
         for rep in range(repetitions)
     ]
-    return run_allocations(obs, state, cover, configs)
+    return run_allocations(obs, state, cover, configs, moments)
 
 
 # ---------------------------------------------------------------------------

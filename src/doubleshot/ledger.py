@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pauli import Observable, commutation_matrix
-from .posterior import MomentEngine
+from .posterior import DEFAULT_CONFIG, MomentEngine
 from .simulator import ShotOutcome
 
 _NEGATIVE_VARIANCE_FLOOR = -1e-9
@@ -283,7 +283,7 @@ def clamped_variance(total: float) -> float:
 def estimate(
     ledger: TallyLedger,
     obs: Observable,
-    engine: MomentEngine | None = None,
+    engine: MomentEngine = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Assemble the point estimate and its claimed variance from the counts.
 
@@ -292,16 +292,13 @@ def estimate(
     8 sum over jointly measured commuting pairs of c_i c_j Cov(theta_i,
     theta_j), where both the product moment and the subtracted marginals come
     from the same pair posterior.  Pairs with no joint counts contribute
-    exactly zero and are skipped.  Moments come from *engine*, by default
-    one with the default moment settings.
+    exactly zero and are skipped.  Moments come from *engine*.
     """
     if ledger.num_terms != obs.num_terms:
         raise InvalidInputError(
             f"ledger tracks {ledger.num_terms} terms, observable has "
             f"{obs.num_terms}"
         )
-    if engine is None:
-        engine = MomentEngine()
     coeff = obs.coefficients()
     strings = obs.strings()
 

@@ -46,21 +46,6 @@ _SINGLE_NODES = 512
 _ROW_KEY_WEIGHTS = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 
 
-@dataclass(frozen=True)
-class MomentConfig:
-    """Cells per axis of the pair quadrature's midpoint grid."""
-
-    pair_cells: int = 16
-
-    @classmethod
-    def oracle(cls) -> "MomentConfig":
-        """The 60-cells-per-axis midpoint grid used as the test oracle."""
-        return cls(pair_cells=60)
-
-
-DEFAULT_CONFIG = MomentConfig()
-
-
 def phi_of_theta(theta):
     """Probability that two i.i.d. +-1 outcomes with P(+1)=theta agree."""
     arr = np.asarray(theta, dtype=float)
@@ -155,58 +140,38 @@ def _chunked_means(
     return out if inverse is None else out[inverse]
 
 
-class _SingleGrid:
-    """Gauss-Legendre nodes on [0,1] with per-node log factors pre-tabulated."""
-
-    def __init__(self, nodes: int):
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        # (1-x)/2 is exactly the reversed node list, so symmetric integrands
-        # stay symmetric in floating point
-        t = 0.5 * (x + 1.0)
-        omt = 0.5 * (1.0 - x)
-        phi = t * t + omt * omt
-        one_minus_phi = 2.0 * t * omt
-        weights = 0.5 * w
-        self.logs_t = np.log(np.stack([t, omt, phi, one_minus_phi]))
-        self.weighted = np.stack([weights, t, t * t, phi], axis=1)
-        self.weighted[:, 1:] *= weights[:, None]
-
-    def moments(self, counts: np.ndarray) -> np.ndarray:
-        """counts (K,4) -> moments (K,3) = E[theta], E[theta^2], E[phi]."""
-        return _chunked_means(counts, self.logs_t, self.weighted, "single-term")
-
-
-class _PairGrid:
-    """Midpoint tensor grid over the open 3-simplex."""
-
-    def __init__(self, cells: int):
-        m = (np.arange(cells) + 0.5) / cells
-        u, v, w = np.meshgrid(m, m, m, indexing="ij")
-        u, v, w = u.ravel(), v.ravel(), w.ravel()
-        keep = u + v + w < 1.0
-        t0, t1, t2 = u[keep], v[keep], w[keep]
-        t3 = 1.0 - t0 - t1 - t2
-        factors = _pair_factors(t0, t1, t2, t3)
-        self.logs_t = np.log(np.stack(factors))
-        ti, tj = factors[8], factors[10]
-        # cells have equal weight
-        self.weighted = np.stack(
-            [np.ones_like(t0), *factors[:8], ti * tj, ti, tj], axis=1
-        )
-
-    def moments(self, counts: np.ndarray) -> np.ndarray:
-        """counts (K,12) -> moments (K,11)."""
-        return _chunked_means(counts, self.logs_t, self.weighted, "pair")
-
-
 @lru_cache(maxsize=1)
-def _single_grid() -> _SingleGrid:
-    return _SingleGrid(_SINGLE_NODES)
+def _single_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre (logs_t, weighted) on [0,1] for theta, theta^2, phi."""
+    x, w = np.polynomial.legendre.leggauss(_SINGLE_NODES)
+    # (1-x)/2 is exactly the reversed node list, so symmetric integrands
+    # stay symmetric in floating point
+    t = 0.5 * (x + 1.0)
+    omt = 0.5 * (1.0 - x)
+    phi = t * t + omt * omt
+    one_minus_phi = 2.0 * t * omt
+    weights = 0.5 * w
+    logs_t = np.log(np.stack([t, omt, phi, one_minus_phi]))
+    weighted = np.stack([weights, t, t * t, phi], axis=1)
+    weighted[:, 1:] *= weights[:, None]
+    return logs_t, weighted
 
 
 @lru_cache(maxsize=4)
-def _pair_grid(cells: int) -> _PairGrid:
-    return _PairGrid(cells)
+def _pair_tables(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint tensor grid (logs_t, weighted) over the open 3-simplex."""
+    m = (np.arange(cells) + 0.5) / cells
+    u, v, w = np.meshgrid(m, m, m, indexing="ij")
+    u, v, w = u.ravel(), v.ravel(), w.ravel()
+    keep = u + v + w < 1.0
+    t0, t1, t2 = u[keep], v[keep], w[keep]
+    t3 = 1.0 - t0 - t1 - t2
+    factors = _pair_factors(t0, t1, t2, t3)
+    logs_t = np.log(np.stack(factors))
+    ti, tj = factors[8], factors[10]
+    # cells have equal weight
+    weighted = np.stack([np.ones_like(t0), *factors[:8], ti * tj, ti, tj], axis=1)
+    return logs_t, weighted
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +309,29 @@ def mcmc_pair_block(counts: np.ndarray) -> np.ndarray:
 # the engine
 
 
+@dataclass(frozen=True)
 class MomentEngine:
-    """Evaluates posterior moment rows for one moment configuration.
+    """Evaluates posterior moment rows on a pair grid of pair_cells per axis.
 
-    It holds nothing but its configuration.  Each row's moments are a pure
-    function of that row's counts, bit for bit, whatever batch it arrives
-    in, so callers may split, merge and reorder their batches freely and
-    reuse the rows that did not change (see allocator._FastLoop).
+    It holds nothing but pair_cells.  Each row's moments are a pure function
+    of that row's counts, bit for bit, whatever batch it arrives in, so
+    callers may split, merge and reorder their batches freely and reuse the
+    rows that did not change (see allocator._FastLoop).
     """
 
-    def __init__(self, config: MomentConfig = DEFAULT_CONFIG):
-        self.config = config
+    pair_cells: int = 16
+
+    @classmethod
+    def oracle(cls) -> "MomentEngine":
+        """The 60-cells-per-axis midpoint grid used as the test oracle."""
+        return cls(pair_cells=60)
 
     def single_block(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,4) -> (K,3) moment rows [theta, theta_sq, phi]."""
         counts = np.ascontiguousarray(counts, dtype=float)
         if counts.shape[0] == 0:
             return np.zeros((0, 3))
-        out = _single_grid().moments(counts)
+        out = _chunked_means(counts, *_single_tables(), "single-term")
         # exact symmetry: with no sign information the posterior is even
         # about 1/2, so the mean is 1/2 identically
         symmetric = (counts[:, 0] == 0.0) & (counts[:, 1] == 0.0)
@@ -380,7 +350,9 @@ class MomentEngine:
         factorized = np.all(counts[:, :8] == 0.0, axis=1)
         full = ~factorized
         if np.any(full):
-            out[full] = _pair_grid(self.config.pair_cells).moments(counts[full])
+            out[full] = _chunked_means(
+                counts[full], *_pair_tables(self.pair_cells), "pair"
+            )
         if np.any(factorized):
             out[factorized] = self._factorized_rows(counts[factorized])
         return out
@@ -408,3 +380,7 @@ class MomentEngine:
         out[:, 10] = tj
         return out
 
+
+# The default engine; the name is kept because perfbench/workloads.py
+# imports it.
+DEFAULT_CONFIG = MomentEngine()

@@ -20,7 +20,6 @@ from doubleshot.hamiltonians import load_builtin
 from doubleshot.ledger import TallyLedger, estimate
 from doubleshot.pauli import parse_observable
 from doubleshot.posterior import (
-    MomentConfig,
     MomentEngine,
     mcmc_pair_block,
     phi_joint_of_theta_joint,
@@ -105,7 +104,7 @@ def test_criterion_03_central_limit_recovery():
 def test_criterion_04_backend_oracle_equivalence():
     # (a) MCMC pair moments match the tensor-grid quadrature within 1e-2
     # absolute on 20 fixed validation tallies.
-    oracle = MomentEngine(MomentConfig.oracle())
+    oracle = MomentEngine.oracle()
     rng = np.random.default_rng(12)
     tallies = np.zeros((20, 12))
     tallies[:, 0:4] = rng.integers(0, 8, size=(20, 4))

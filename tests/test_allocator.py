@@ -26,8 +26,8 @@ from doubleshot.errors import InvalidInputError, NumericalError
 from doubleshot.experiments import cover_for, rep_seed, run_repetitions
 from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
 from doubleshot.ledger import TallyLedger, estimate
-from doubleshot.pauli import build_group_cover, parse_observable
-from doubleshot.posterior import MomentConfig, MomentEngine
+from doubleshot.pauli import GroupCover, build_group_cover, parse_observable
+from doubleshot.posterior import DEFAULT_CONFIG, MomentEngine
 from doubleshot.simulator import (
     ShotOutcome,
     ground_state,
@@ -76,6 +76,19 @@ class TestAllocationConfig:
             AllocationConfig(budget=0)
         with pytest.raises(InvalidInputError):
             AllocationConfig(budget=-5)
+
+    @pytest.mark.parametrize("field", ["budget", "max_qubits"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "4", None])
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        fields = {"budget": 6, field: value}
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            AllocationConfig(**fields)
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = AllocationConfig(budget=np.int64(6), max_qubits=np.int32(10))
+        obs, cover, state = toy_problem()
+        result = run_allocation(obs, state, cover, config)
+        assert result.ledger.effective_shots == 6
 
     def test_max_qubits_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -393,7 +406,7 @@ class TestRunAllocation:
 
         from doubleshot.simulator import sample_double_shot
 
-        engine = MomentEngine(config.moments)
+        engine = DEFAULT_CONFIG
         rng = np.random.default_rng(config.seed)
         led = TallyLedger(obs)
         for row in result.trace:
@@ -452,7 +465,7 @@ class TestRunAllocation:
         cover = cover_for(obs)
         state = ground_state(obs)
         config = AllocationConfig(budget=30, seed=2)
-        engine = MomentEngine(config.moments)
+        engine = DEFAULT_CONFIG
         loop = _FastLoop(obs, cover, enable_double=True)
         # a cohort of one run, started as a fresh ledger: every row evaluated
         live = np.array([0])
@@ -527,7 +540,7 @@ class TestRunAllocation:
         state = ground_state(obs)
         assert cohort_size(obs) >= 3
         with pytest.raises(NumericalError) as excinfo:
-            run_repetitions(obs, state, cover, 50, 3, False, 0, MomentConfig())
+            run_repetitions(obs, state, cover, 50, 3, False, 0, MomentEngine())
         monkeypatch.undo()
         alone = [
             run_allocation(
@@ -573,17 +586,27 @@ class TestRunAllocation:
             run_allocations(obs, state, cover, configs)
         assert excinfo.value.partial_trace == lone[first][1]
 
-    def test_configs_must_share_moments(self):
-        # one engine serves every run of a call, so the configs may not ask
-        # for different moment settings
-        obs, cover, state = toy_problem()
-        configs = [
-            AllocationConfig(budget=5, seed=0),
-            AllocationConfig(budget=5, seed=1, moments=MomentConfig.oracle()),
-        ]
+    @pytest.mark.parametrize(
+        "extra", [(15,), (-1,), (), (0, 1), (True,), (2.0,)],
+        ids=["out-of-range", "negative", "empty", "anticommuting", "bool", "float"],
+    )
+    def test_bad_cover_group_refused_before_any_shot(self, monkeypatch, extra):
+        # on ising-1x2 terms 0 and 1 are XI and YI, which anticommute
+        import doubleshot.allocator as alloc_mod
+
+        obs = load_builtin("ising-1x2")
+        cover = GroupCover(groups=cover_for(obs).groups + (extra,))
+        state = ground_state(obs)
+        shots = []
+        monkeypatch.setattr(
+            alloc_mod, "sample_group_shot", lambda *args, **kw: shots.append(args)
+        )
+        config = AllocationConfig(budget=60, seed=rep_seed(0, 0))
         with pytest.raises(InvalidInputError):
-            run_allocations(obs, state, cover, configs)
-        assert len(run_allocations(obs, state, cover, configs[1:])) == 1
+            run_allocation(obs, state, cover, config)
+        assert shots == []
+        with pytest.raises(InvalidInputError):
+            choose_action(TallyLedger(obs), obs, cover, config)
 
     def test_cohort_size_follows_the_observable(self):
         wide = build_ising(random_ising_spec(2, 5, np.random.default_rng(7)))
@@ -618,7 +641,7 @@ class TestCohortStepIsArrays:
 
         def count(runs):
             calls.update(dict.fromkeys(helpers, 0))
-            run_repetitions(obs, state, cover, 60, runs, True, 0, MomentConfig())
+            run_repetitions(obs, state, cover, 60, runs, True, 0, MomentEngine())
             return dict(calls)
 
         two, sixteen = count(2), count(16)

@@ -37,7 +37,7 @@ from doubleshot.experiments import (
 )
 from doubleshot.ledger import EstimateReport, TallyLedger
 from doubleshot.pauli import parse_observable
-from doubleshot.posterior import DEFAULT_CONFIG, MomentConfig, MomentEngine
+from doubleshot.posterior import DEFAULT_CONFIG, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -88,6 +88,32 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInputError):
             toy_spec(base_seed=-1)
         assert toy_spec(base_seed=0).base_seed == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"budgets": (2.5,)},
+            {"budgets": (True, 5)},
+            {"budgets": ("8",)},
+            {"repetitions": 2.5},
+            {"repetitions": True},
+            {"base_seed": 1.5},
+            {"max_qubits": 10.5},
+        ],
+        ids=["budget-float", "budget-bool", "budget-str", "repetitions-float",
+             "repetitions-bool", "base_seed-float", "max_qubits-float"],
+    )
+    def test_rejects_non_integers(self, overrides):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            toy_spec(**overrides)
+
+    def test_takes_numpy_integers(self):
+        spec = toy_spec(
+            budgets=(np.int64(5), np.int32(9)), repetitions=np.int64(2),
+            base_seed=np.int16(3), max_qubits=np.int64(10),
+        )
+        assert spec.budgets == (5, 9)
+        assert all(type(b) is int for b in spec.budgets)
 
     def test_rejects_non_increasing_budgets(self):
         with pytest.raises(InvalidInputError):
@@ -165,11 +191,11 @@ class TestRunRepetitions:
         assert all(r.ledger.effective_shots == 10 for r in results)
 
     def test_deterministic_and_engine_invariant(self):
-        # the engine is built from the moment settings by value: an equal
-        # config built anew gives the same bits
+        # the engine holds its settings by value: an equal engine built
+        # anew gives the same bits
         first = self._run()
         second = self._run()
-        shared = self._run(MomentConfig(pair_cells=16))
+        shared = self._run(MomentEngine(pair_cells=16))
         for a, b, c in zip(first, second, shared):
             assert a.report.mean == b.report.mean == c.report.mean
             assert a.report.variance == b.report.variance == c.report.variance
@@ -208,7 +234,7 @@ class TestRunRepetitionsMemory:
         def run(reps):
             run_repetitions(
                 obs, state, cover, budget=40, repetitions=reps,
-                enable_double=True, base_seed=0, moments=MomentConfig(),
+                enable_double=True, base_seed=0, moments=MomentEngine(),
             )
 
         def held(reps):
@@ -258,7 +284,7 @@ class TestLockstepCohorts:
 
         monkeypatch.setattr(MomentEngine, "pair_block", counting)
         results = run_repetitions(
-            obs, state, cover, budget, 5, enable_double, 0, MomentConfig()
+            obs, state, cover, budget, 5, enable_double, 0, MomentEngine()
         )
         cohort_calls, calls["n"] = calls["n"], 0
         for rep, result in enumerate(results):
@@ -293,7 +319,7 @@ class TestLockstepCohorts:
             try:
                 results = run_repetitions(
                     obs, state, cover, budget=16, repetitions=reps,
-                    enable_double=True, base_seed=0, moments=MomentConfig(),
+                    enable_double=True, base_seed=0, moments=MomentEngine(),
                 )
                 held, peak = tracemalloc.get_traced_memory()
             finally:

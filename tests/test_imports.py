@@ -20,9 +20,15 @@ dependencies`` of ``pyproject.toml``.
 The fourth scan checks the package's exports: ``doubleshot.__all__`` names
 each export once, and each name in it is an attribute of the package, so
 ``from doubleshot import *`` cannot fail on a name left behind.
+
+The fifth scan checks what the benchmark reads: every ``from doubleshot[...]
+import name`` in ``perfbench/**/*.py``, function-local imports included,
+must resolve, so that a deleted name fails here and not in every benchmark
+run at import.
 """
 
 import ast
+import importlib
 import re
 import sys
 import types
@@ -208,3 +214,50 @@ def test_scan_finds_a_stale_export():
 
 def test_package_exports_are_defined_once():
     assert export_faults(doubleshot) == []
+
+
+def unresolved_imports(source: str) -> list[str]:
+    """``module:name`` for each ``from doubleshot[...] import name`` that fails.
+
+    A name resolves as Python's import does: as an attribute of the module,
+    or as a submodule of it.
+    """
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+            continue
+        if node.module.split(".")[0] != "doubleshot":
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            if hasattr(module, alias.name):
+                continue
+            try:
+                importlib.import_module(f"{node.module}.{alias.name}")
+            except ImportError:
+                missing.append(f"{node.module}:{alias.name}")
+    return sorted(missing)
+
+
+def test_scan_finds_an_unresolved_import():
+    source = (
+        "from os import path\n"
+        "from doubleshot import estimate, allocator, Gone\n"
+        "from doubleshot.posterior import MomentEngine, MomentConfig\n"
+        "def trace():\n"
+        "    from doubleshot.ledger import TallyLedger, _gone\n"
+    )
+    assert unresolved_imports(source) == [
+        "doubleshot.ledger:_gone",
+        "doubleshot.posterior:MomentConfig",
+        "doubleshot:Gone",
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    sorted((ROOT / "perfbench").rglob("*.py")),
+    ids=lambda p: p.relative_to(ROOT / "perfbench").as_posix(),
+)
+def test_perfbench_imports_resolve(source):
+    assert unresolved_imports(source.read_text(encoding="utf-8")) == []

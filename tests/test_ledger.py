@@ -17,11 +17,11 @@ from doubleshot.ledger import (
     joint_mask,
 )
 from doubleshot.pauli import observable_from_pairs, parse_observable
-from doubleshot.posterior import MomentConfig, MomentEngine
+from doubleshot.posterior import MomentEngine
 from doubleshot.simulator import ShotOutcome, ground_state, sample_group_shot
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
-ORACLE = MomentConfig.oracle()
+ORACLE = MomentEngine.oracle()
 
 # columns of a single count row and of a pair count row
 S_PLUS, S_MINUS = 0, 1
@@ -442,7 +442,7 @@ class TestEstimate:
         obs = toy_obs()
         led = TallyLedger(obs)
         led.record(group({3: 1, 4: 1}))
-        report = estimate(led, obs, MomentEngine(ORACLE))
+        report = estimate(led, obs, ORACLE)
         # Terms 3 and 4 each have one +1 count: theta = 2/3, so the mean is
         # 2 * (2 * 2/3 - 1) = 2/3; the unmeasured terms sit at theta = 1/2.
         assert report.mean == pytest.approx(2.0 / 3.0, abs=1e-6)

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 from doubleshot.errors import InvalidInputError, NumericalError
 from doubleshot.posterior import (
-    MomentConfig,
     MomentEngine,
-    _PairGrid,
-    _SingleGrid,
+    _chunked_means,
+    _pair_tables,
+    _single_tables,
     mcmc_pair_block,
     mcmc_sample,
     phi_joint_of_theta_joint,
     phi_of_theta,
 )
 
-ORACLE = MomentConfig.oracle()
-DEFAULT = MomentConfig()
+ORACLE = MomentEngine.oracle()
+DEFAULT = MomentEngine()
 
 # columns of a single-term moment row
 THETA, THETA_SQ, PHI = 0, 1, 2
@@ -29,9 +29,9 @@ THETA_JOINT, PHI_JOINT = slice(0, 4), slice(4, 8)
 THETA_PROD, THETA_I, THETA_J = 8, 9, 10
 
 
-def single_row(counts, config):
+def single_row(counts, engine):
     """Moment row of one single-term count row (s+, s-, d+, d-)."""
-    return MomentEngine(config).single_block(np.array([counts], dtype=float))[0]
+    return engine.single_block(np.array([counts], dtype=float))[0]
 
 
 def pair_counts(s_joint, d_joint, s_i_indep, s_j_indep):
@@ -39,9 +39,9 @@ def pair_counts(s_joint, d_joint, s_i_indep, s_j_indep):
     return np.concatenate([s_joint, d_joint, s_i_indep, s_j_indep]).astype(float)
 
 
-def pair_row(counts, config):
+def pair_row(counts, engine):
     """Moment row of one pair count row."""
-    return MomentEngine(config).pair_block(counts[None, :])[0]
+    return engine.pair_block(counts[None, :])[0]
 
 
 def covariance(m):
@@ -241,7 +241,7 @@ class TestBatchInvariance:
     def _block(kind, counts):
         # a fresh engine per call, so that no engine state could carry a
         # value from one batch to the next
-        return getattr(MomentEngine(DEFAULT), f"{kind}_block")(counts)
+        return getattr(MomentEngine(), f"{kind}_block")(counts)
 
     @pytest.mark.parametrize("kind, width", [("single", 4), ("pair", 12)])
     def test_slices_match_full_batch(self, kind, width):
@@ -295,17 +295,18 @@ class TestDistinctRows:
     """A batch evaluates each bitwise-distinct row once."""
 
     @pytest.mark.parametrize(
-        "grid, width",
-        [(_SingleGrid(64), 4), (_PairGrid(DEFAULT.pair_cells), 12)],
+        "tables, width",
+        [(_single_tables(), 4), (_pair_tables(DEFAULT.pair_cells), 12)],
         ids=["single", "pair"],
     )
-    def test_repeated_rows_take_one_chunk(self, monkeypatch, grid, width):
+    def test_repeated_rows_take_one_chunk(self, monkeypatch, tables, width):
+        logs_t, weighted = tables
         rows = np.arange(3 * width, dtype=float).reshape(3, width)
         counts = rows[np.arange(3000) % 3]
-        expected = grid.moments(rows)
-        monkeypatch.setattr(grid, "logs_t", grid.logs_t.view(_CountingArray))
+        expected = _chunked_means(rows, logs_t, weighted, "test")
+        counting = logs_t.view(_CountingArray)
         monkeypatch.setattr(_CountingArray, "matmuls", 0)
-        out = grid.moments(counts)
+        out = _chunked_means(counts, counting, weighted, "test")
         # one chunk of 64 rows; every row evaluated would take 47
         assert _CountingArray.matmuls == 1
         assert np.array_equal(out, expected[np.arange(3000) % 3])
@@ -315,7 +316,7 @@ class TestDistinctRows:
         counts = np.ones((200, width))
         counts[50::60, 1] = np.nan
         with pytest.raises(NumericalError):
-            getattr(MomentEngine(DEFAULT), f"{kind}_block")(counts)
+            getattr(DEFAULT, f"{kind}_block")(counts)
 
 
 class TestMcmc:
@@ -336,7 +337,7 @@ class TestMcmc:
 
     def test_pair_tally_matches_quadrature(self):
         row = pair_counts((3, 1, 1, 0), (0,) * 4, (0, 0), (0, 0))[None, :]
-        q = MomentEngine(ORACLE).pair_block(row)[0]
+        q = ORACLE.pair_block(row)[0]
         m = mcmc_pair_block(row)[0]
         assert np.allclose(m[0:4], q[0:4], atol=1e-2)  # theta_joint
         assert np.allclose(m[4:8], q[4:8], atol=1e-2)  # phi_joint
