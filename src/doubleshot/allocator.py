@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _require_bool, _require_integer
 from .ledger import (
-    _INTEGRAL,
     EstimateReport,
     TallyLedger,
     clamped_variance,
@@ -50,13 +49,13 @@ from .ledger import (
     pair_covariance,
     term_contributions,
 )
-from .pauli import GroupCover, Observable, commutation_matrix
+from .pauli import GroupCover, Observable, _group_indices, commutation_matrix
 from .posterior import DEFAULT_CONFIG, MomentEngine
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _bell_table,
-    _group_actions,
+    _check_cap,
     _pauli_actions,
     sample_double_shot,
     sample_group_shot,
@@ -86,19 +85,6 @@ class MeasurementAction:
         return 1 if self.kind == "group" else 2
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is neither here."""
-    return isinstance(value, _INTEGRAL) and type(value) is not bool
-
-
-def _require_integer(name: str, value, minimum: int) -> None:
-    """Refuse a value that is not an integer or is below minimum."""
-    if not _is_integer(value):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class AllocationConfig:
     budget: int
@@ -109,6 +95,12 @@ class AllocationConfig:
     def __post_init__(self):
         _require_integer("budget", self.budget, 1)
         _require_integer("max_qubits", self.max_qubits, 1)
+        _require_bool("enable_double", self.enable_double)
+        # None, a non-negative integer, or a sequence of them (a PCG64 entropy)
+        if self.seed is not None:
+            seeds = self.seed if isinstance(self.seed, (tuple, list)) else (self.seed,)
+            for value in seeds:
+                _require_integer("seed", value, 0)
 
 
 @dataclass(frozen=True)
@@ -246,29 +238,12 @@ def virtual_update(
 
 
 def _check_cover(obs: Observable, cover: GroupCover) -> None:
-    """Refuse a cover whose groups are not all measurable as given.
-
-    Every group must be non-empty, name its terms by distinct integer
-    indices (a bool is not one) in range, and hold pairwise commuting terms.
-    """
-    p = obs.num_terms
-    commuting = commutation_matrix(obs.strings())
+    """Refuse a cover with a group that pauli._group_indices refuses."""
     for g, group in enumerate(cover.groups):
-        if not group:
-            raise InvalidInputError(f"cover group {g} is empty")
-        if not all(map(_is_integer, group)):
-            raise InvalidInputError(
-                f"cover group {g} {group!r} holds an index that is not an integer"
-            )
-        if len(set(group)) < len(group) or min(group) < 0 or max(group) >= p:
-            raise InvalidInputError(
-                f"cover group {g} {group!r} needs distinct indices in 0..{p - 1}"
-            )
-        members = np.asarray(group, dtype=np.intp)
-        if not commuting[np.ix_(members, members)].all():
-            raise InvalidInputError(
-                f"cover group {g} {group!r} holds anticommuting terms"
-            )
+        try:
+            _group_indices(obs, group)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"cover group {g}: {err}") from None
 
 
 def choose_action(
@@ -501,27 +476,24 @@ def cohort_size(obs: Observable) -> int:
 class _Shots:
     """Shot sampling for every run of one state.
 
-    The state is fixed, so every term's signed permutation, each group's
-    commutation check and the Bell table are made once, at first use, and
-    serve every run.
+    The state is fixed, so the table of every term's signed permutation and
+    the Bell table are made once, at first use, and serve every run; the
+    cover's groups were checked by _check_cover.
     """
 
     def __init__(self, obs: Observable, state: StateVector, cover: GroupCover):
         self.obs, self.state, self.cover = obs, state, cover
         self.table = None
-        self.actions = {}
         self.bell = None
 
     def sample(self, candidate: int, rng, max_qubits: int):
         """One shot of a candidate (a group's index, or num_groups for double)."""
         if candidate < self.cover.num_groups:
-            group = self.cover.groups[candidate]
-            if candidate not in self.actions:
-                if self.table is None:
-                    self.table = _pauli_actions(self.obs.strings())
-                self.actions[candidate] = _group_actions(self.obs, group, self.table)
+            if self.table is None:
+                self.table = _pauli_actions(self.obs.strings())
             return sample_group_shot(
-                self.state, self.obs, group, rng, actions=self.actions[candidate]
+                self.state, self.obs, self.cover.groups[candidate], rng,
+                table=self.table,
             )
         if self.bell is None:
             self.bell = _bell_table(self.state, max_qubits)
@@ -607,11 +579,14 @@ def run_allocations(
     holding the rows of every live run, and a run leaves the cohort when
     its budget is spent.  Each run keeps its own ledger, rng and trace, and
     gets the same bits as alone.  One engine serves every run of the call.
-    The cover is checked before any shot.
+    The cover, and each config's max_qubits against the state's width, are
+    checked before any shot.
     """
     if not configs:
         return []
     _check_cover(obs, cover)
+    for config in configs:
+        _check_cap(state.width, config.max_qubits)
     shots = _Shots(obs, state, cover)
     # a lone run needs no cohort, nor the pair scan that sizes one
     size = cohort_size(obs) if len(configs) > 1 else 1

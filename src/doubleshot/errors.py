@@ -1,8 +1,14 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the integer and bool
+checks that every module refuses bad input with.
 
 The CLI maps these onto exit codes: usage/parse problems exit 2, numerical
 failures exit 3, resource-cap violations exit 4.
 """
+import numpy as np
+
+# an integer input (a term index, a count, a seed) is one of these types,
+# and not a bool
+_INTEGRAL = (int, np.integer)
 
 
 class InvalidInputError(ValueError):
@@ -25,3 +31,22 @@ class ResourceLimitError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A numerical routine produced garbage (non-finite integrand, dead chain...)."""
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither here."""
+    return isinstance(value, _INTEGRAL) and type(value) is not bool
+
+
+def _require_integer(name: str, value, minimum: int) -> None:
+    """Refuse a value that is not an integer or is below minimum."""
+    if not _is_integer(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_bool(name: str, value) -> None:
+    """Refuse a value that is not a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a bool, got {value!r}")

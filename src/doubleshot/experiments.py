@@ -29,12 +29,10 @@ import numpy as np
 from .allocator import (  # noqa: F401
     AllocationConfig,
     AllocationResult,
-    _is_integer,
-    _require_integer,
     run_allocation,
     run_allocations,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _is_integer, _require_bool, _require_integer
 from .hamiltonians import load_builtin
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
 from .posterior import DEFAULT_CONFIG, MomentEngine, phi_of_theta
@@ -85,7 +83,17 @@ class ExperimentSpec:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
-        budgets = tuple(self.budgets)
+        for name in ("observable_source", "state_source"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidInputError(
+                    f"{name} must be a string, got {getattr(self, name)!r}"
+                )
+        try:
+            budgets = tuple(self.budgets)
+        except TypeError:
+            raise InvalidInputError(
+                f"budgets must be a sequence of integers, got {self.budgets!r}"
+            ) from None
         for b in budgets:
             if not (_is_integer(b) or isinstance(b, float) and b.is_integer()):
                 raise InvalidInputError(f"budget must be an integer, got {b!r}")
@@ -101,6 +109,7 @@ class ExperimentSpec:
             )
         _require_integer("max_qubits", self.max_qubits, 1)
         _require_integer("base_seed", self.base_seed, 0)
+        _require_bool("enable_double", self.enable_double)
 
 
 def resolve_observable(source: str) -> Observable:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import _INTEGRAL, InvalidInputError
 from .pauli import Observable, commutation_matrix
 from .posterior import DEFAULT_CONFIG, MomentEngine
 from .simulator import ShotOutcome
@@ -35,7 +35,6 @@ _NEGATIVE_VARIANCE_FLOOR = -1e-9
 # the cell tables have one row per shot kind
 _KINDS = {"group": 0, "double": 1}
 _SIGNS = frozenset((1, -1))
-_INTEGRAL = (int, np.integer)
 # single-row column by kind and code: s+ and s- for a group shot, d+ and d-
 # for a double shot
 _SINGLE_CELLS = ((-1, 0, 1), (-1, 2, 3))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ObservableParseError
+from .errors import InvalidInputError, ObservableParseError, _is_integer
 
 PAULI_LETTERS = "IXYZ"
 
@@ -252,6 +252,37 @@ def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
     ).reshape(len(strings), width)
     x, z = _BYTE_BITS[codes].transpose(2, 0, 1)
     return (x @ z.T + z @ x.T) & 1 == 0
+
+
+def _group_indices(obs: Observable, group: Sequence[int]) -> tuple[int, ...]:
+    """A measurable group's term indices, in ascending order.
+
+    Refuses a group that is empty, names a term by anything but a distinct
+    integer index (a bool is not one) in 0..p-1, or holds terms that do not
+    pairwise commute; that refusal names the first clashing pair, lower
+    index first.
+    """
+    indices = tuple(group)
+    if not indices:
+        raise InvalidInputError("empty group")
+    if not all(map(_is_integer, indices)):
+        raise InvalidInputError(
+            f"group {indices!r} holds an index that is not an integer"
+        )
+    indices = tuple(sorted(indices))
+    p = obs.num_terms
+    if len(set(indices)) < len(indices) or indices[0] < 0 or indices[-1] >= p:
+        raise InvalidInputError(
+            f"group {indices!r} needs distinct indices in 0..{p - 1}"
+        )
+    strings = [obs.terms[i].string for i in indices]
+    clash = np.argwhere(np.triu(~commutation_matrix(strings), 1))
+    if clash.size:
+        i, j = clash[0]
+        raise InvalidInputError(
+            f"group is not commuting: {strings[i].letters} vs {strings[j].letters}"
+        )
+    return indices
 
 
 def build_group_cover(obs: Observable) -> GroupCover:

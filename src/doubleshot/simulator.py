@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .pauli import Observable, PauliString, commutation_matrix, commutes
+from .pauli import Observable, PauliString, _group_indices, commutes
 
 # dense work cap: 2^10 amplitudes, and a 4^10-entry Bell table for two-copy shots
 DEFAULT_MAX_QUBITS = 10
@@ -288,82 +288,44 @@ def _measure_in_place(
     return v / nrm, outcome
 
 
-@dataclass(frozen=True, eq=False)
-class _GroupActions:
-    """A commuting group's strings in ascending term order, with their actions.
-
-    String k acts as (P v)_b = factor[k][b] * v[src[k][b]].
-    """
-
-    indices: tuple[int, ...]
-    strings: tuple[PauliString, ...]
-    src: tuple[np.ndarray, ...]
-    factor: tuple[np.ndarray, ...]
-
-
-def _group_actions(
-    obs: Observable,
-    group: Sequence[int],
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> _GroupActions:
-    """Check that a group commutes and take its strings' signed permutations.
-
-    For a caller that samples many shots of one group: sample_group_shot
-    otherwise does both on every shot.  table is _pauli_actions of all of
-    obs's strings, for a caller that takes the actions of many groups; the
-    group's rows then are views of it.  Without it they are built here.
-    """
-    indices = tuple(sorted(group))
-    if not indices:
-        raise InvalidInputError("empty group")
-    strings = tuple(obs.terms[i].string for i in indices)
-    clash = np.argwhere(np.triu(~commutation_matrix(strings), 1))
-    if clash.size:
-        i, j = clash[0]
-        raise InvalidInputError(
-            f"group is not commuting: {strings[i].letters} vs {strings[j].letters}"
-        )
-    if table is None:
-        (src, factor), rows = _pauli_actions(strings), range(len(indices))
-    else:
-        (src, factor), rows = table, indices
-    return _GroupActions(
-        indices, strings, tuple(src[r] for r in rows), tuple(factor[r] for r in rows)
-    )
-
-
 def sample_group_shot(
     state: StateVector,
     obs: Observable,
     group: Sequence[int],
     rng: np.random.Generator,
-    actions: _GroupActions | None = None,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ShotOutcome:
     """One simultaneous shot of a commuting group, by sequential projection.
 
     The joint outcome distribution is order-independent because the strings
     commute; measurement order is ascending term index for reproducibility.
 
-    actions is the group's _group_actions(obs, group), for a caller that
-    samples many shots of one group; they are built, and the group checked,
-    here when not given.  The draws are the same either way.
+    table is _pauli_actions(obs.strings()), for a caller that samples many
+    shots and has checked its groups (see pauli._group_indices); the
+    group's rows are read from it.  Without it the group is checked and its
+    rows are built here.  The draws are the same either way.
     """
-    if actions is None:
-        actions = _group_actions(obs, group)
-    elif actions.indices != tuple(sorted(group)) or actions.strings != tuple(
-        obs.terms[i].string for i in actions.indices
-    ):
-        raise InvalidInputError("group actions were built for another group")
-    for s in actions.strings:
-        if s.width != state.width:
-            raise InvalidInputError("group strings do not match the state width")
+    if obs.width != state.width:
+        raise InvalidInputError("observable width does not match the state")
+    if table is None:
+        indices = _group_indices(obs, group)
+        src, factor = _pauli_actions([obs.terms[i].string for i in indices])
+        rows = range(len(indices))
+    else:
+        indices = rows = sorted(group)
+        src, factor = table
+        shape = (obs.num_terms, 1 << state.width)
+        if src.shape != shape or factor.shape != shape:
+            raise InvalidInputError(
+                f"action table of shape {src.shape} does not fit {shape[0]} "
+                f"terms on {state.width} qubits"
+            )
     v = state.amplitudes.copy()
     values = {}
-    for idx, s, src, factor in zip(
-        actions.indices, actions.strings, actions.src, actions.factor
-    ):
-        v, outcome = _measure_in_place(v, s, src, factor, rng)
-        values[idx] = outcome
+    for k, idx in zip(rows, indices):
+        v, values[idx] = _measure_in_place(
+            v, obs.terms[idx].string, src[k], factor[k], rng
+        )
     return ShotOutcome(kind="group", values=values)
 
 

@@ -22,7 +22,7 @@ from doubleshot.allocator import (
     run_allocations,
     virtual_update,
 )
-from doubleshot.errors import InvalidInputError, NumericalError
+from doubleshot.errors import InvalidInputError, NumericalError, ResourceLimitError
 from doubleshot.experiments import cover_for, rep_seed, run_repetitions
 from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
 from doubleshot.ledger import TallyLedger, estimate
@@ -100,6 +100,27 @@ class TestAllocationConfig:
         config = AllocationConfig(budget=10)
         assert config.enable_double is True
         assert config.seed is None
+
+    @pytest.mark.parametrize(
+        "seed", [True, (True, 2), 1.5, -1, "abc", (0, -1), (0, 1.5), np.bool_(True)],
+        ids=["bool", "bool-in-tuple", "float", "negative", "str", "negative-in-tuple",
+             "float-in-tuple", "numpy-bool"],
+    )
+    def test_seed_refused_at_construction(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            AllocationConfig(budget=4, seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed", [None, 0, 7, np.int64(3), (0, 1), [81, 2], (np.int32(4), 0)]
+    )
+    def test_seed_takes_integers_and_sequences_of_them(self, seed):
+        assert AllocationConfig(budget=4, seed=seed).seed is seed
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_enable_double_must_be_a_bool(self, value):
+        with pytest.raises(InvalidInputError, match="enable_double"):
+            AllocationConfig(budget=4, enable_double=value)
+        assert not AllocationConfig(budget=4, enable_double=np.False_).enable_double
 
 
 class TestVirtualUpdate:
@@ -607,6 +628,29 @@ class TestRunAllocation:
         assert shots == []
         with pytest.raises(InvalidInputError):
             choose_action(TallyLedger(obs), obs, cover, config)
+
+    @pytest.mark.parametrize(
+        "enable_double", [False, True], ids=["double-off", "double-on"]
+    )
+    def test_qubit_cap_checked_before_any_shot(self, monkeypatch, enable_double):
+        import doubleshot.allocator as alloc_mod
+
+        obs = load_builtin("ising-1x2")
+        state = ground_state(obs)
+        shots = []
+        for name in ("sample_group_shot", "sample_double_shot"):
+            monkeypatch.setattr(
+                alloc_mod, name, lambda *args, **kw: shots.append(args)
+            )
+        configs = [
+            AllocationConfig(budget=40, enable_double=enable_double, seed=1),
+            AllocationConfig(
+                budget=40, enable_double=enable_double, seed=1, max_qubits=1
+            ),
+        ]
+        with pytest.raises(ResourceLimitError):
+            run_allocations(obs, state, cover_for(obs), configs)
+        assert shots == []
 
     def test_cohort_size_follows_the_observable(self):
         wide = build_ising(random_ising_spec(2, 5, np.random.default_rng(7)))

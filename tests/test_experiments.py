@@ -107,6 +107,22 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInputError, match="must be an integer"):
             toy_spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"enable_double": "false"},
+            {"enable_double": 1},
+            {"state_source": None},
+            {"budgets": 8},
+        ],
+        ids=["enable_double-str", "enable_double-int", "state_source-none",
+             "budgets-int"],
+    )
+    def test_rejects_wrong_types(self, overrides):
+        # beyond the 2.5 and "x" of every field that test_config_fields tries
+        with pytest.raises(InvalidInputError):
+            toy_spec(**overrides)
+
     def test_takes_numpy_integers(self):
         spec = toy_spec(
             budgets=(np.int64(5), np.int32(9)), repetitions=np.int64(2),

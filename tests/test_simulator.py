@@ -20,7 +20,6 @@ from doubleshot.posterior import phi_joint_of_theta_joint, phi_of_theta
 from doubleshot.simulator import (
     StateVector,
     _bell_table,
-    _group_actions,
     _pauli_actions,
     apply_pauli,
     exact_mean,
@@ -348,6 +347,18 @@ class TestGroupShot:
         with pytest.raises(InvalidInputError):
             sample_group_shot(state, obs, [0, 1], np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "group", [[-1], (4, -1), [0, 0], [True], [5], [1.0], ()],
+        ids=["negative", "negative-and-valid", "repeated", "bool", "out-of-range",
+             "float", "empty"],
+    )
+    def test_unmeasurable_group_refused(self, group):
+        obs = load_builtin("toy-fig1")
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError):
+            sample_group_shot(ground_state(obs), obs, group, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_law_of_large_numbers(self):
         # single term alone, 10^5 shots, 4 sigma band
         theta = 0.725
@@ -458,27 +469,25 @@ class TestGivenBellTable:
 
 
 class TestGivenGroupActions:
-    """A caller's prebuilt group actions give the draws the sampler makes alone."""
+    """A caller's action table gives the draws the sampler makes alone."""
 
     @pytest.mark.parametrize(
         "obs, state",
         [
             (load_builtin("ising-2x2"), ground_state(load_builtin("ising-2x2"))),
             (parse_observable(Y_TERMS_TEXT), random_state(3, 17)),
+            (lattice(2, 5, 7), ground_state(lattice(2, 5, 7))),
         ],
-        ids=["ising-2x2", "random-3q-y-terms"],
+        ids=["ising-2x2", "random-3q-y-terms", "wide-10q"],
     )
     def test_same_outcomes_and_stream(self, obs, state):
         groups = build_group_cover(obs).groups
         table = _pauli_actions(obs.strings())
-        actions = [_group_actions(obs, g, table) for g in groups]
         rng_given = np.random.default_rng(11)
         rng_alone = np.random.default_rng(11)
         for shot in range(200):
             g = shot % len(groups)
-            given = sample_group_shot(
-                state, obs, groups[g], rng_given, actions=actions[g]
-            )
+            given = sample_group_shot(state, obs, groups[g], rng_given, table=table)
             assert given.values == sample_group_shot(
                 state, obs, groups[g], rng_alone
             ).values
@@ -507,27 +516,24 @@ class TestGivenGroupActions:
             assert src[k].tobytes() == perm.tobytes()
             assert factor[k].tobytes() == (phase * signs).tobytes()
 
-    def test_actions_of_another_group_refused(self):
+    def test_table_of_another_observable_refused(self):
         obs = parse_observable(TOY_TEXT)
         state = ground_state(obs)
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidInputError):
-            sample_group_shot(
-                state, obs, [0, 1, 2], rng, actions=_group_actions(obs, [2, 3, 4])
-            )
-        # the same term indices of another observable
         other = parse_observable("1.0 IZ\n1.0 ZI")
         with pytest.raises(InvalidInputError):
             sample_group_shot(
-                state, obs, [0, 1], rng, actions=_group_actions(other, [0, 1])
+                state, obs, [0, 1], rng, table=_pauli_actions(other.strings())
             )
 
     def test_commutation_checked_when_building(self):
         obs = parse_observable("1.0 X\n1.0 Z")
+        state = StateVector([1.0, 0.0])
+        rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):
-            _group_actions(obs, [0, 1])
+            sample_group_shot(state, obs, [0, 1], rng)
         with pytest.raises(InvalidInputError):
-            _group_actions(obs, [])
+            sample_group_shot(state, obs, [], rng)
 
     @pytest.mark.parametrize(
         "group", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (1, 2, 3, 4), (2, 3, 4, 1), (0, 3)]
@@ -543,7 +549,7 @@ class TestGivenGroupActions:
             if not commutes(a, b)
         )
         with pytest.raises(InvalidInputError) as err:
-            _group_actions(obs, group)
+            sample_group_shot(ground_state(obs), obs, group, np.random.default_rng(0))
         assert str(err.value) == f"group is not commuting: {a.letters} vs {b.letters}"
 
 
