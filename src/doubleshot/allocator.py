@@ -71,8 +71,7 @@ class MeasurementAction:
 
     def __post_init__(self):
         if self.kind == "group":
-            if self.group is None or self.group < 0:
-                raise InvalidInputError("group action needs a group index")
+            _require_integer("group", self.group, 0)
         elif self.kind == "double":
             if self.group is not None:
                 raise InvalidInputError("double action takes no group index")
@@ -196,16 +195,6 @@ def _double_pair_rows(pairs, pmom):
     return vp
 
 
-def _full_moments(ledger: TallyLedger, engine: MomentEngine):
-    smom = engine.single_block(ledger.singles)
-    pmom = (
-        engine.pair_block(ledger.pairs)
-        if ledger.num_pairs
-        else np.zeros((0, 11))
-    )
-    return smom, pmom
-
-
 def virtual_update(
     ledger: TallyLedger,
     action: MeasurementAction,
@@ -216,9 +205,15 @@ def virtual_update(
 
     Counters are not advanced: the hypothetical ledger only serves variance
     prediction, and its fractional counts do not satisfy the integer-count
-    identities that validate() checks on real ledgers.
+    identities that validate() checks on real ledgers.  A group index
+    outside the cover is refused.
     """
-    smom, pmom = _full_moments(ledger, engine)
+    if action.kind == "group" and action.group >= cover.num_groups:
+        raise InvalidInputError(
+            f"group {action.group} outside the cover's {cover.num_groups} groups"
+        )
+    smom = engine.single_block(ledger.singles)
+    pmom = engine.pair_block(ledger.pairs)
     out = ledger.copy()
     singles, pairs = ledger.singles, ledger.pairs
     if action.kind == "group":

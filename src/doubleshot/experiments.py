@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 
@@ -29,6 +29,7 @@ import numpy as np
 from .allocator import (  # noqa: F401
     AllocationConfig,
     AllocationResult,
+    TraceRow,
     run_allocation,
     run_allocations,
 )
@@ -292,28 +293,29 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
     """Scaled-variance statistics per budget for both allocation arms.
 
     For every budget and each arm (double scheme allowed / suppressed; when
-    *spec* itself disables the double scheme both arms run identically),
-    repetitions with paired seeds produce mean and spread of the rescaled
-    claimed variance m_eff * variance, the repetition indices of the best
-    and worst runs, and the mean rescaled true squared error against the
-    exact reference.
+    *spec* itself disables the double scheme both arms are the same runs,
+    which run once), repetitions with paired seeds produce mean and spread
+    of the rescaled claimed variance m_eff * variance, the repetition
+    indices of the best and worst runs, and the mean rescaled true squared
+    error against the exact reference.
     """
     problem = _problem(spec)
     truth = problem[3]
+    arms = (("double_on", spec.enable_double), ("double_off", False))
+    stats = {}
     rows = []
-    for arm_name, arm_double in (("double_on", True), ("double_off", False)):
+    for arm_name, arm_double in arms:
         for budget in spec.budgets:
-            results = _repetitions(
-                spec, problem, budget, arm_double and spec.enable_double
-            )
-            scaled = np.array([r.report.m_eff * r.report.variance for r in results])
-            sq_err = np.array(
-                [r.report.m_eff * (r.report.mean - truth) ** 2 for r in results]
-            )
-            rows.append(
-                {
-                    "budget": budget,
-                    "arm": arm_name,
+            key = (budget, arm_double)
+            if key not in stats:
+                results = _repetitions(spec, problem, budget, arm_double)
+                scaled = np.array(
+                    [r.report.m_eff * r.report.variance for r in results]
+                )
+                sq_err = np.array(
+                    [r.report.m_eff * (r.report.mean - truth) ** 2 for r in results]
+                )
+                stats[key] = {
                     "repetitions": spec.repetitions,
                     "mean_scaled_variance": float(scaled.mean()),
                     "rms_scaled_variance": float(
@@ -323,18 +325,9 @@ def curve_rows(spec: ExperimentSpec) -> CsvDocument:
                     "worst_rep": int(np.argmax(scaled)),
                     "mean_scaled_sq_error": float(sq_err.mean()),
                 }
-            )
+            rows.append({"budget": budget, "arm": arm_name, **stats[key]})
     return CsvDocument(
-        fieldnames=(
-            "budget",
-            "arm",
-            "repetitions",
-            "mean_scaled_variance",
-            "rms_scaled_variance",
-            "best_rep",
-            "worst_rep",
-            "mean_scaled_sq_error",
-        ),
+        fieldnames=tuple(rows[0]),
         rows=tuple(rows),
         top_comments=(
             "scaled-variance curve: one row per (budget, arm)",
@@ -394,15 +387,7 @@ def calibrate_rows(spec: ExperimentSpec) -> CsvDocument:
     mean_z = float(z_arr.mean()) if z_arr.size else math.nan
     rms_z = float(np.sqrt((z_arr**2).mean())) if z_arr.size else math.nan
     return CsvDocument(
-        fieldnames=(
-            "rep",
-            "m",
-            "m_double",
-            "estimate",
-            "claimed_variance",
-            "z_score",
-            "flagged",
-        ),
+        fieldnames=tuple(rows[0]),
         rows=tuple(rows),
         top_comments=(
             "calibration: one z-score per repetition at a fixed budget",
@@ -491,15 +476,7 @@ def double_usage_rows(
 def trace_document(result: AllocationResult, spec_note: str = "") -> CsvDocument:
     """Per-action trace of one allocation run as a CSV document."""
     rows = tuple(
-        {
-            "step": t.step,
-            "kind": t.kind,
-            "group": "" if t.group is None else t.group,
-            "predicted_variance": t.predicted_variance,
-            "realized_variance": t.realized_variance,
-            "m": t.m,
-            "m_double": t.m_double,
-        }
+        dict(vars(t), group="" if t.group is None else t.group)
         for t in result.trace
     )
     top = (
@@ -514,15 +491,7 @@ def trace_document(result: AllocationResult, spec_note: str = "") -> CsvDocument
     if spec_note:
         top = top + (spec_note,)
     return CsvDocument(
-        fieldnames=(
-            "step",
-            "kind",
-            "group",
-            "predicted_variance",
-            "realized_variance",
-            "m",
-            "m_double",
-        ),
+        fieldnames=tuple(f.name for f in fields(TraceRow)),
         rows=rows,
         top_comments=top,
     )

@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _require_integer
 from .pauli import Observable, observable_from_pairs, parse_observable
 
 __all__ = [
@@ -93,8 +93,8 @@ def lattice_edges(nx: int, ny: int) -> tuple[tuple[int, int], ...]:
     in that order, recording each undirected edge the first time it appears
     and skipping self-loops.
     """
-    if nx < 1 or ny < 1:
-        raise InvalidInputError(f"lattice dimensions must be >= 1, got ({nx}, {ny})")
+    _require_integer("nx", nx, 1)
+    _require_integer("ny", ny, 1)
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for x in range(nx):
@@ -141,12 +141,9 @@ class IsingSpec:
     tensor_blocks: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise InvalidInputError(
-                f"lattice dimensions must be >= 1, got ({self.nx}, {self.ny})"
-            )
-        q = self.num_vertices
+        # lattice_edges refuses sizes that are not integers >= 1
         edges = lattice_edges(self.nx, self.ny)
+        q = self.num_vertices
         object.__setattr__(
             self, "field_z", _as_float_tuple(self.field_z, "field_z", q)
         )
@@ -193,17 +190,8 @@ class IsingSpec:
         return lattice_edges(self.nx, self.ny)
 
     def to_json(self) -> str:
-        payload = {
-            "nx": self.nx,
-            "ny": self.ny,
-            "field_z": list(self.field_z),
-            "local_fields": [list(row) for row in self.local_fields],
-            "coupling": list(self.coupling),
-            "tensor_blocks": [
-                [list(row[3 * a : 3 * a + 3]) for a in range(3)]
-                for row in self.tensor_blocks
-            ],
-        }
+        blocks = [[b[3 * a : 3 * a + 3] for a in range(3)] for b in self.tensor_blocks]
+        payload = {**vars(self), "tensor_blocks": blocks}
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod

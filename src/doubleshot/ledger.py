@@ -146,8 +146,6 @@ class TallyLedger:
             )
         if np.any(self.singles < 0) or np.any(self.pairs < 0):
             raise InvalidInputError("negative counts in ledger")
-        if self.num_pairs == 0:
-            return
         pr = self.pairs
         checks = [
             (pr[:, 0] + pr[:, 1] + pr[:, 8], self.singles[self.pair_i, 0]),
@@ -205,32 +203,13 @@ class EstimateReport:
             "m": self.m,
             "m_double": self.m_double,
             "m_eff": self.m_eff,
-            "per_term": [
-                {
-                    "index": t.index,
-                    "string": t.string,
-                    "coefficient": t.coefficient,
-                    "theta": t.theta,
-                    "variance_contribution": t.variance_contribution,
-                }
-                for t in self.per_term
-            ],
-            "per_pair": [
-                {
-                    "i": q.i,
-                    "j": q.j,
-                    "covariance": q.covariance,
-                    "contribution": q.contribution,
-                }
-                for q in self.per_pair
-            ],
+            "per_term": [dict(vars(t)) for t in self.per_term],
+            "per_pair": [dict(vars(q)) for q in self.per_pair],
         }
 
 
 def joint_mask(pairs: np.ndarray) -> np.ndarray:
     """True for pair rows that carry any joint (s or d) counts."""
-    if pairs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     return np.any(pairs[:, :8] > 0, axis=1)
 
 
@@ -258,10 +237,9 @@ def pair_contributions(
     cov holds the pair_covariance of exactly the joint_rows indices.
     """
     out = np.zeros(num_pairs)
-    if joint_rows.size:
-        out[joint_rows] = (
-            8.0 * coeff[pair_i[joint_rows]] * coeff[pair_j[joint_rows]] * cov
-        )
+    out[joint_rows] = (
+        8.0 * coeff[pair_i[joint_rows]] * coeff[pair_j[joint_rows]] * cov
+    )
     return out
 
 
@@ -301,28 +279,13 @@ def estimate(
     coeff = obs.coefficients()
     strings = obs.strings()
 
-    if ledger.num_terms == 0:
-        return EstimateReport(
-            mean=obs.identity_offset,
-            variance=0.0,
-            per_term=(),
-            per_pair=(),
-            m=ledger.shots_taken,
-            m_double=ledger.double_shots,
-        )
-
     smom = engine.single_block(ledger.singles)
     theta = smom[:, 0]
     mean = obs.identity_offset + float(np.sum(coeff * (2.0 * theta - 1.0)))
     term_contrib = term_contributions(coeff, smom)
 
     joint_rows = np.flatnonzero(joint_mask(ledger.pairs))
-    pmom_joint = (
-        engine.pair_block(ledger.pairs[joint_rows])
-        if joint_rows.size
-        else np.zeros((0, 11))
-    )
-    cov = pair_covariance(pmom_joint)
+    cov = pair_covariance(engine.pair_block(ledger.pairs[joint_rows]))
     pair_contrib = pair_contributions(
         coeff, ledger.pair_i, ledger.pair_j, ledger.num_pairs, joint_rows, cov,
     )

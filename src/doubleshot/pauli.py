@@ -254,13 +254,11 @@ def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
     return (x @ z.T + z @ x.T) & 1 == 0
 
 
-def _group_indices(obs: Observable, group: Sequence[int]) -> tuple[int, ...]:
-    """A measurable group's term indices, in ascending order.
+def _term_indices(obs: Observable, group: Sequence[int]) -> tuple[int, ...]:
+    """A group's term indices, in ascending order.
 
-    Refuses a group that is empty, names a term by anything but a distinct
-    integer index (a bool is not one) in 0..p-1, or holds terms that do not
-    pairwise commute; that refusal names the first clashing pair, lower
-    index first.
+    Refuses a group that is empty or names a term by anything but a distinct
+    integer index (a bool is not one) in 0..p-1.
     """
     indices = tuple(group)
     if not indices:
@@ -275,6 +273,17 @@ def _group_indices(obs: Observable, group: Sequence[int]) -> tuple[int, ...]:
         raise InvalidInputError(
             f"group {indices!r} needs distinct indices in 0..{p - 1}"
         )
+    return indices
+
+
+def _group_indices(obs: Observable, group: Sequence[int]) -> tuple[int, ...]:
+    """A measurable group's term indices, in ascending order.
+
+    Refuses a group that _term_indices refuses, or whose terms do not
+    pairwise commute; that refusal names the first clashing pair, lower
+    index first.
+    """
+    indices = _term_indices(obs, group)
     strings = [obs.terms[i].string for i in indices]
     clash = np.argwhere(np.triu(~commutation_matrix(strings), 1))
     if clash.size:

@@ -329,8 +329,6 @@ class MomentEngine:
     def single_block(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,4) -> (K,3) moment rows [theta, theta_sq, phi]."""
         counts = np.ascontiguousarray(counts, dtype=float)
-        if counts.shape[0] == 0:
-            return np.zeros((0, 3))
         out = _chunked_means(counts, *_single_tables(), "single-term")
         # exact symmetry: with no sign information the posterior is even
         # about 1/2, so the mean is 1/2 identically

@@ -17,8 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .pauli import Observable, PauliString, _group_indices, commutes
+from .errors import (
+    InvalidInputError,
+    NumericalError,
+    ResourceLimitError,
+    _require_integer,
+)
+from .pauli import Observable, PauliString, _group_indices, _term_indices, commutes
 
 # dense work cap: 2^10 amplitudes, and a 4^10-entry Bell table for two-copy shots
 DEFAULT_MAX_QUBITS = 10
@@ -58,7 +63,9 @@ class StateVector:
         inferred = amps.size.bit_length() - 1
         if width is None:
             width = inferred
-        elif width != inferred:
+        else:
+            _require_integer("width", width, 0)
+        if width != inferred:
             raise InvalidInputError(
                 f"width {width} inconsistent with {amps.size} amplitudes"
             )
@@ -301,8 +308,9 @@ def sample_group_shot(
     commute; measurement order is ascending term index for reproducibility.
 
     table is _pauli_actions(obs.strings()), for a caller that samples many
-    shots and has checked its groups (see pauli._group_indices); the
-    group's rows are read from it.  Without it the group is checked and its
+    shots; the group's rows are read from it, and its indices are checked
+    (pauli._term_indices) but its commutation is left to the caller (see
+    pauli._group_indices).  Without it the whole group is checked and its
     rows are built here.  The draws are the same either way.
     """
     if obs.width != state.width:
@@ -312,7 +320,7 @@ def sample_group_shot(
         src, factor = _pauli_actions([obs.terms[i].string for i in indices])
         rows = range(len(indices))
     else:
-        indices = rows = sorted(group)
+        indices = rows = _term_indices(obs, group)
         src, factor = table
         shape = (obs.num_terms, 1 << state.width)
         if src.shape != shape or factor.shape != shape:

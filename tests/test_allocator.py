@@ -61,6 +61,18 @@ class TestMeasurementAction:
         with pytest.raises(InvalidInputError):
             MeasurementAction(kind="group", group=-1)
 
+    @pytest.mark.parametrize("group", [True, 1.5, "1", np.float64(1.0)])
+    def test_group_index_must_be_an_integer(self, group):
+        with pytest.raises(InvalidInputError):
+            MeasurementAction(kind="group", group=group)
+
+    def test_virtual_update_refuses_group_outside_cover(self):
+        obs = load_builtin("ising-1x2")
+        cover = build_group_cover(obs)
+        action = MeasurementAction(kind="group", group=cover.num_groups)
+        with pytest.raises(InvalidInputError):
+            virtual_update(TallyLedger(obs), action, cover, DEFAULT_CONFIG)
+
     def test_double_takes_no_index(self):
         with pytest.raises(InvalidInputError):
             MeasurementAction(kind="double", group=0)

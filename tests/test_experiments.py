@@ -1,5 +1,6 @@
 """Tests for experiment specs, CSV/JSON documents, and the report drivers."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doubleshot import experiments
 from doubleshot.allocator import (
     AllocationConfig,
     AllocationResult,
+    TraceRow,
     cohort_size,
     run_allocation,
 )
@@ -35,7 +38,7 @@ from doubleshot.experiments import (
     write_csv,
     write_json,
 )
-from doubleshot.ledger import EstimateReport, TallyLedger
+from doubleshot.ledger import EstimateReport, PairReport, TallyLedger, TermReport
 from doubleshot.pauli import parse_observable
 from doubleshot.posterior import DEFAULT_CONFIG, MomentEngine
 from doubleshot.simulator import StateVector, exact_mean, ground_state
@@ -475,6 +478,33 @@ class TestCurveRows:
                 == off[budget]["mean_scaled_sq_error"]
             )
 
+    def test_disabled_double_runs_each_budget_once(self, monkeypatch, tmp_path):
+        calls = []
+        real = experiments.run_repetitions
+
+        def counted(obs, state, cover, budget, repetitions, enable_double, *rest):
+            calls.append((budget, enable_double))
+            return real(obs, state, cover, budget, repetitions, enable_double, *rest)
+
+        monkeypatch.setattr(experiments, "run_repetitions", counted)
+        fields = dict(
+            observable_source="builtin:ising-1x2", budgets=(20, 45), repetitions=3
+        )
+        full = curve_rows(ExperimentSpec(**fields))
+        assert calls == [(20, True), (45, True), (20, False), (45, False)]
+        calls.clear()
+        alone = curve_rows(ExperimentSpec(**fields, enable_double=False))
+        assert calls == [(20, False), (45, False)]
+        # both arms of the no-double curve are the full curve's double_off
+        # arm, written line for line
+        off = [r for r in full.rows if r["arm"] == "double_off"]
+        want = [dict(r, arm=arm) for arm in ("double_on", "double_off") for r in off]
+        write_csv(alone, tmp_path / "alone.csv")
+        write_csv(dataclasses.replace(alone, rows=tuple(want)), tmp_path / "want.csv")
+        assert (tmp_path / "alone.csv").read_bytes() == (
+            tmp_path / "want.csv"
+        ).read_bytes()
+
     def test_round_trips_to_disk(self, tmp_path):
         doc = curve_rows(toy_spec(budgets=(6,), repetitions=1))
         path = tmp_path / "curve.csv"
@@ -644,6 +674,23 @@ class TestTraceDocument:
         assert float(again.rows[0]["predicted_variance"]) == pytest.approx(
             result.trace[0].predicted_variance
         )
+
+
+class TestRecordColumns:
+    def test_columns_are_the_dataclass_fields(self):
+        obs = resolve_observable("builtin:ising-1x2")
+        result = run_allocation(
+            obs, ground_state(obs), cover_for(obs), AllocationConfig(budget=30, seed=0)
+        )
+
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert list(trace_document(result).fieldnames) == names(TraceRow)
+        payload = result.report.to_dict()
+        assert payload["per_term"] and payload["per_pair"]
+        assert all(list(row) == names(TermReport) for row in payload["per_term"])
+        assert all(list(row) == names(PairReport) for row in payload["per_pair"])
 
 
 class TestReferenceReport:

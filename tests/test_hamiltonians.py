@@ -16,6 +16,7 @@ from doubleshot.hamiltonians import (
     random_ising_spec,
 )
 from doubleshot.pauli import parse_observable
+from doubleshot.simulator import StateVector
 
 # Byte-level pins of the bundled files: any reformatting or renumbering of
 # the shipped coefficient tables is an API break.
@@ -319,3 +320,24 @@ class TestRandomIsingSpec:
         assert [(t.string.letters, t.coefficient) for t in again.terms] == [
             (t.string.letters, t.coefficient) for t in obs.terms
         ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lattice_edges(1.5, 2),
+        lambda: lattice_edges(True, 2),
+        lambda: lattice_edges(2, np.float64(3.0)),
+        lambda: random_ising_spec(True, 2, np.random.default_rng(0)),
+        lambda: StateVector([1.0, 0.0], width=True),
+        lambda: StateVector([1.0, 0.0], width=1.0),
+    ],
+    ids=[
+        "lattice-float", "lattice-bool", "lattice-numpy-float",
+        "random-spec-bool", "state-width-bool", "state-width-float",
+    ],
+)
+def test_sizes_must_be_integers(build):
+    # a bool is not a size, and a float is refused even when whole
+    with pytest.raises(InvalidInputError):
+        build()

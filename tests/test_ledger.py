@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubleshot.allocator import (
+    AllocationConfig,
+    MeasurementAction,
+    run_allocation,
+    virtual_update,
+)
 from doubleshot.errors import InvalidInputError
+from doubleshot.experiments import cover_for
 from doubleshot.ledger import (
     EstimateReport,
     TallyLedger,
@@ -16,8 +23,8 @@ from doubleshot.ledger import (
     estimate,
     joint_mask,
 )
-from doubleshot.pauli import observable_from_pairs, parse_observable
-from doubleshot.posterior import MomentEngine
+from doubleshot.pauli import build_group_cover, observable_from_pairs, parse_observable
+from doubleshot.posterior import DEFAULT_CONFIG, MomentEngine
 from doubleshot.simulator import ShotOutcome, ground_state, sample_group_shot
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
@@ -563,3 +570,66 @@ class TestEstimateReport:
         }
         assert all(t["variance_contribution"] >= 0.0 for t in data["per_term"])
         assert isinstance(report, EstimateReport)
+
+
+# Zero-row and zero-term inputs take the general path; these pin what it
+# gives them.
+HALF_IDENTITY = parse_observable("0.5 II")
+HALF_IDENTITY_REPORT = EstimateReport(
+    mean=0.5, variance=0.0, per_term=(), per_pair=(), m=0, m_double=0
+)
+
+
+def _one_term_ledger():
+    """A ledger of a one-term observable, which has no pairs, after two shots."""
+    obs = parse_observable("1.0 Z")
+    led = TallyLedger(obs)
+    led.record(ShotOutcome(kind="group", values={0: 1}))
+    led.record(ShotOutcome(kind="double", values={0: -1}))
+    return obs, led
+
+
+def _one_term_virtual(action):
+    obs, led = _one_term_ledger()
+    hypo = virtual_update(led, action, build_group_cover(obs), DEFAULT_CONFIG)
+    return hypo.singles.shape, hypo.pairs.shape
+
+
+def _half_identity_run():
+    obs = HALF_IDENTITY
+    config = AllocationConfig(budget=5, seed=0)
+    return run_allocation(obs, ground_state(obs), cover_for(obs), config).report
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: DEFAULT_CONFIG.single_block(np.zeros((0, 4))).shape, (0, 3)),
+        (lambda: DEFAULT_CONFIG.pair_block(np.zeros((0, 12))).shape, (0, 11)),
+        (
+            lambda: (lambda m: (m.shape, m.dtype))(joint_mask(np.zeros((0, 12)))),
+            ((0,), np.dtype(bool)),
+        ),
+        (lambda: _one_term_ledger()[1].validate(), None),
+        (
+            lambda: _one_term_virtual(MeasurementAction(kind="group", group=0)),
+            ((1, 4), (0, 12)),
+        ),
+        (
+            lambda: _one_term_virtual(MeasurementAction(kind="double")),
+            ((1, 4), (0, 12)),
+        ),
+        (
+            lambda: estimate(TallyLedger(HALF_IDENTITY), HALF_IDENTITY),
+            HALF_IDENTITY_REPORT,
+        ),
+        (_half_identity_run, HALF_IDENTITY_REPORT),
+    ],
+    ids=[
+        "single_block", "pair_block", "joint_mask", "validate-no-pairs",
+        "virtual-group-no-pairs", "virtual-double-no-pairs",
+        "estimate-identity", "run_allocation-identity",
+    ],
+)
+def test_zero_size_input(call, want):
+    assert call() == want

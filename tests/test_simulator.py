@@ -526,6 +526,19 @@ class TestGivenGroupActions:
                 state, obs, [0, 1], rng, table=_pauli_actions(other.strings())
             )
 
+    @pytest.mark.parametrize(
+        "group", [[-1], [0, 0], (), [True], [15], [1.0]],
+        ids=["negative", "repeated", "empty", "bool", "out-of-range", "float"],
+    )
+    def test_table_path_refuses_bad_indices(self, group):
+        # the indices are checked on the table path too, before any draw
+        obs = load_builtin("ising-1x2")
+        table = _pauli_actions(obs.strings())
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError):
+            sample_group_shot(ground_state(obs), obs, group, rng, table=table)
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_commutation_checked_when_building(self):
         obs = parse_observable("1.0 X\n1.0 Z")
         state = StateVector([1.0, 0.0])
