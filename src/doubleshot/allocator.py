@@ -577,8 +577,6 @@ def run_allocations(
     The cover, and each config's max_qubits against the state's width, are
     checked before any shot.
     """
-    if not configs:
-        return []
     _check_cover(obs, cover)
     for config in configs:
         _check_cap(state.width, config.max_qubits)

@@ -28,7 +28,6 @@ from .experiments import (
     ExperimentSpec,
     GROUND_STATE_SOURCE,
     calibrate_rows,
-    cover_for,
     curve_rows,
     double_usage_rows,
     reference_report,
@@ -45,7 +44,7 @@ from .hamiltonians import (
     builtin_text,
     random_ising_spec,
 )
-from .pauli import serialize_observable
+from .pauli import build_group_cover, serialize_observable
 from .simulator import DEFAULT_MAX_QUBITS
 
 EXIT_OK = 0
@@ -147,19 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
             "(--coefficients) or from seeded random draws (--random)."
         ),
     )
-    p.add_argument("--builtin", choices=BUILTIN_NAMES)
-    p.add_argument("--nx", type=int, help="lattice extent along x")
-    p.add_argument("--ny", type=int, help="lattice extent along y")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=BUILTIN_NAMES)
+    source.add_argument(
         "--coefficients",
         metavar="JSON",
         help="explicit coefficient file (see IsingSpec.to_json)",
     )
-    p.add_argument(
+    source.add_argument(
         "--random",
         action="store_true",
         help="draw random coefficients with the documented defaults",
     )
+    p.add_argument("--nx", type=int, help="lattice extent along x")
+    p.add_argument("--ny", type=int, help="lattice extent along y")
     p.add_argument(
         "--seed", type=_int_at_least(0), default=0, help="seed for --random"
     )
@@ -246,13 +246,6 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_ising(args) -> int:
-    chosen = sum(
-        1 for flag in (args.builtin, args.coefficients) if flag is not None
-    ) + (1 if args.random else 0)
-    if chosen != 1:
-        raise InvalidInputError(
-            "choose exactly one of --builtin, --coefficients, --random"
-        )
     if args.builtin is not None:
         text = builtin_text(args.builtin)
     elif args.coefficients is not None:
@@ -280,7 +273,7 @@ def _cmd_reference(args) -> int:
 def _cmd_estimate(args) -> int:
     obs = resolve_observable(_observable_source(args))
     state = resolve_state(args.state, obs, args.max_qubits)
-    cover = cover_for(obs)
+    cover = build_group_cover(obs)
     config = AllocationConfig(
         budget=args.budget,
         enable_double=not args.no_double,

@@ -134,15 +134,9 @@ def resolve_state(
     return load_state_file(source, width=obs.width)
 
 
-def cover_for(obs: Observable) -> GroupCover:
-    """Group cover for *obs*; a pure-identity observable gets an empty cover.
-
-    With no measurable terms the allocation loop takes zero shots and the
-    estimate degenerates to the identity offset with zero variance.
-    """
-    if obs.num_terms == 0:
-        return GroupCover(groups=())
-    return build_group_cover(obs)
+# perfbench/workloads.py and tests/test_benchmark_contract.py import this
+# name; it can go once the benchmark calls build_group_cover (ROADMAP item 1).
+cover_for = build_group_cover
 
 
 def rep_seed(base_seed: int, rep: int) -> tuple[int, int]:
@@ -259,7 +253,7 @@ def _problem(spec: ExperimentSpec):
     """The spec's observable, state, group cover and exact mean."""
     obs = resolve_observable(spec.observable_source)
     state = resolve_state(spec.state_source, obs, spec.max_qubits)
-    return obs, state, cover_for(obs), exact_mean(obs, state)
+    return obs, state, build_group_cover(obs), exact_mean(obs, state)
 
 
 def _repetitions(spec: ExperimentSpec, problem, budget: int, enable_double: bool):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -114,6 +115,9 @@ def lattice_edges(nx: int, ny: int) -> tuple[tuple[int, int], ...]:
 def _as_float_tuple(values, what: str, count: int) -> tuple[float, ...]:
     out = []
     for v in values:
+        # float() would read True as 1.0 and "0.5" as 0.5
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidInputError(f"{what} entries must be numbers, got {v!r}")
         f = float(v)
         if not math.isfinite(f):
             raise InvalidInputError(f"non-finite entry in {what}")
@@ -203,8 +207,8 @@ class IsingSpec:
         if not isinstance(payload, dict):
             raise InvalidInputError("lattice spec must be a JSON object")
         try:
-            nx = int(payload["nx"])
-            ny = int(payload["ny"])
+            nx = payload["nx"]
+            ny = payload["ny"]
             field_z = payload["field_z"]
             local_fields = payload["local_fields"]
             coupling = payload["coupling"]
@@ -217,9 +221,9 @@ class IsingSpec:
             if len(rows) == 3 and all(
                 isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
             ):
-                flat_blocks.append(tuple(float(v) for r in rows for v in r))
+                flat_blocks.append(tuple(v for r in rows for v in r))
             else:
-                flat_blocks.append(tuple(float(v) for v in rows))
+                flat_blocks.append(tuple(rows))
         return cls(
             nx=nx,
             ny=ny,

@@ -303,8 +303,6 @@ def build_group_cover(obs: Observable) -> GroupCover:
     overlap.
     """
     p = obs.num_terms
-    if p < 1:
-        raise InvalidInputError("group cover needs at least one term")
     coeffs = obs.coefficients()
     rank = sorted(range(p), key=lambda i: (-abs(coeffs[i]), i))
     commuting = commutation_matrix(obs.strings())

@@ -347,10 +347,9 @@ class MomentEngine:
         out = np.empty((counts.shape[0], 11))
         factorized = np.all(counts[:, :8] == 0.0, axis=1)
         full = ~factorized
-        if np.any(full):
-            out[full] = _chunked_means(
-                counts[full], *_pair_tables(self.pair_cells), "pair"
-            )
+        out[full] = _chunked_means(
+            counts[full], *_pair_tables(self.pair_cells), "pair"
+        )
         if np.any(factorized):
             out[factorized] = self._factorized_rows(counts[factorized])
         return out

@@ -72,7 +72,8 @@ class StateVector:
         if inferred == 0:
             raise InvalidInputError("need at least one qubit")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _NORM_TOL:
+        # a NaN or infinite norm fails this test too
+        if not abs(nrm - 1.0) <= _NORM_TOL:
             raise InvalidInputError(f"state not normalized (norm {nrm!r})")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -274,8 +275,10 @@ def exact_pair_thetas(
 
 
 def _draw_outcome(theta: float, rng: np.random.Generator) -> int:
-    """+1 with probability theta (clipped to [0, 1]), from one rng.random() draw."""
-    theta = min(1.0, max(0.0, theta))
+    """+1 with probability theta, from one rng.random() draw.
+
+    A theta >= 1 always gives +1; a theta <= 0, or NaN, always gives -1.
+    """
     return 1 if rng.random() < theta else -1
 
 
@@ -436,7 +439,8 @@ def load_state_file(path, width: int | None = None) -> StateVector:
                 ) from None
     arr = np.asarray(amps, dtype=complex)
     nrm = np.linalg.norm(arr)
-    if arr.size and abs(nrm - 1.0) > 1e-6:
+    # a NaN or infinite norm fails this test too
+    if arr.size and not abs(nrm - 1.0) <= 1e-6:
         raise InvalidInputError(
             f"{path}: amplitudes have norm {nrm:.8f}, expected 1 within 1e-6"
         )

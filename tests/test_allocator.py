@@ -637,9 +637,15 @@ class TestRunAllocation:
         config = AllocationConfig(budget=60, seed=rep_seed(0, 0))
         with pytest.raises(InvalidInputError):
             run_allocation(obs, state, cover, config)
+        with pytest.raises(InvalidInputError):
+            run_allocations(obs, state, cover, [])
         assert shots == []
         with pytest.raises(InvalidInputError):
             choose_action(TallyLedger(obs), obs, cover, config)
+
+    def test_no_configs_give_no_runs(self):
+        obs, cover, state = toy_problem()
+        assert run_allocations(obs, state, cover, []) == []
 
     @pytest.mark.parametrize(
         "enable_double", [False, True], ids=["double-off", "double-on"]

@@ -1,10 +1,12 @@
 """Tests for the bundled observables and the perturbed-Ising generator."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from doubleshot import cli
 from doubleshot.errors import InvalidInputError
 from doubleshot.hamiltonians import (
     BUILTIN_NAMES,
@@ -341,3 +343,30 @@ def test_sizes_must_be_integers(build):
     # a bool is not a size, and a float is refused even when whole
     with pytest.raises(InvalidInputError):
         build()
+
+
+def _set_first_block_entry(payload, value):
+    payload["tensor_blocks"][0][0][0] = value
+
+
+@pytest.mark.parametrize(
+    ("size", "edit"),
+    [
+        ((2, 2), lambda payload: payload.update(nx=2.7)),
+        ((2, 2), lambda payload: payload.update(nx="2")),
+        ((1, 2), lambda payload: payload.update(nx=True)),
+        ((1, 2), lambda payload: payload.update(field_z=[True, "0.5"])),
+        ((1, 2), lambda payload: _set_first_block_entry(payload, "0.01")),
+    ],
+    ids=["nx-float", "nx-string", "nx-bool", "field-bool-and-string", "block-string"],
+)
+def test_from_json_refuses_values_it_would_coerce(tmp_path, size, edit):
+    # sizes must be JSON integers and entries JSON numbers, as read
+    payload = json.loads(random_ising_spec(*size, np.random.default_rng(0)).to_json())
+    edit(payload)
+    text = json.dumps(payload)
+    with pytest.raises(InvalidInputError):
+        IsingSpec.from_json(text)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["gen-ising", "--coefficients", str(path)]) == 2

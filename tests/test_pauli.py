@@ -218,6 +218,9 @@ class TestGroupCover:
         cover = build_group_cover(parse_observable("0.7 XY"))
         assert cover.groups == ((0,),)
 
+    def test_identity_only_gives_empty_cover(self):
+        assert build_group_cover(parse_observable("0.5 II")).groups == ()
+
     def test_anticommuting_set_gives_singletons(self):
         obs = parse_observable("1.0 XI\n1.0 YI\n1.0 ZI")
         cover = build_group_cover(obs)
@@ -228,8 +231,6 @@ class TestGroupCover:
     def test_cover_properties(self, pairs_width):
         pairs, width = pairs_width
         obs = observable_from_pairs(pairs, width)
-        if obs.num_terms == 0:
-            return
         cover = build_group_cover(obs)
         covered = set()
         for group in cover.groups:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doubleshot import simulator
+from doubleshot import cli, simulator
 from doubleshot.errors import InvalidInputError, ResourceLimitError
 from doubleshot.hamiltonians import (
     BUILTIN_NAMES,
@@ -88,6 +88,25 @@ class TestStateVector:
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidInputError):
             StateVector([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_amplitude_refused(self, tmp_path, bad):
+        # NaN fails every comparison, so a norm test must be one that NaN fails
+        with pytest.raises(InvalidInputError):
+            StateVector([float(bad), 0.0])
+        state_path = tmp_path / "state.txt"
+        state_path.write_text(f"{bad} 0\n0 0\n")
+        with pytest.raises(InvalidInputError):
+            load_state_file(state_path)
+        obs_path = tmp_path / "obs.txt"
+        obs_path.write_text("1.0 Z\n0.5 X\n")
+        out = tmp_path / "report.json"
+        argv = [
+            "estimate", "--observable", str(obs_path), "--state", str(state_path),
+            "--budget", "6", "--out", str(out),
+        ]
+        assert cli.main(argv) == 2
+        assert not out.exists()
 
     def test_immutable(self):
         state = StateVector([1.0, 0.0])
@@ -300,6 +319,19 @@ class TestExactValues:
         obs = parse_observable("0.25 II\n1.0 ZI")
         state = StateVector([0, 0, 1, 0])  # |10>
         assert exact_mean(obs, state) == pytest.approx(0.25 - 1.0)
+
+
+@pytest.mark.parametrize(
+    ("theta", "expected"),
+    [(-0.25, -1), (0.0, -1), (1.0, 1), (1.25, 1), (math.nan, -1)],
+)
+def test_draw_outcome_outside_unit_interval(theta, expected):
+    # theta >= 1 always gives +1, and theta <= 0 or NaN always -1, from one draw
+    rng = np.random.default_rng(11)
+    assert simulator._draw_outcome(theta, rng) == expected
+    after_one = np.random.default_rng(11)
+    after_one.random()
+    assert rng.random() == after_one.random()
 
 
 class TestGroupShot:
