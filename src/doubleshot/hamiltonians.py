@@ -127,6 +127,13 @@ def _as_float_tuple(values, what: str, count: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _json_array(value, what: str) -> list:
+    """value itself, if it was read from a JSON array."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class IsingSpec:
     """Explicit coefficients for the perturbed-Ising generator.
@@ -216,8 +223,8 @@ class IsingSpec:
         except KeyError as exc:
             raise InvalidInputError(f"lattice spec is missing key {exc}") from None
         flat_blocks = []
-        for block in tensor_blocks:
-            rows = list(block)
+        for i, rows in enumerate(_json_array(tensor_blocks, "tensor_blocks")):
+            _json_array(rows, f"tensor_blocks[{i}]")
             if len(rows) == 3 and all(
                 isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
             ):
@@ -227,9 +234,12 @@ class IsingSpec:
         return cls(
             nx=nx,
             ny=ny,
-            field_z=tuple(field_z),
-            local_fields=tuple(tuple(row) for row in local_fields),
-            coupling=tuple(coupling),
+            field_z=tuple(_json_array(field_z, "field_z")),
+            local_fields=tuple(
+                tuple(_json_array(row, f"local_fields[{i}]"))
+                for i, row in enumerate(_json_array(local_fields, "local_fields"))
+            ),
+            coupling=tuple(_json_array(coupling, "coupling")),
             tensor_blocks=tuple(flat_blocks),
         )
 

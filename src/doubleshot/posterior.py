@@ -19,7 +19,10 @@ its posterior factorizes into the two 1-D posteriors and the moments are
 assembled as exact products; this is what makes never-measured-together pairs
 contribute exactly zero covariance.  The quadrature reads rows in fixed-shape
 chunks, so a row's moments are the same bits in whatever batch the row is
-evaluated.  mcmc_pair_block, a Metropolis random walk in additive-logistic
+evaluated.  It works in base 2, shifts each row by its log-likelihood's
+maximum over a few probe nodes (exactly, for the rare row that this shift
+overflows), and integrates only the independent moments; the engine derives
+the rest.  mcmc_pair_block, a Metropolis random walk in additive-logistic
 coordinates, checks the pair quadrature independently; no run calls it.
 """
 from __future__ import annotations
@@ -40,6 +43,10 @@ _CHUNK_ROWS = 64
 
 # Gauss-Legendre nodes of the single-term quadrature.
 _SINGLE_NODES = 512
+
+# Every (N // _PROBE_NODES)-th of a rule's N nodes, 24 or 25 of them, gives
+# each row the shift of its log-likelihood (see _chunked_means).
+_PROBE_NODES = 24
 
 # Weights of the sum that _chunked_means sorts rows by: square roots of
 # primes, so that rows of distinct whole counts have distinct exact sums.
@@ -94,19 +101,60 @@ def _pair_factors(t0, t1, t2, t3) -> list:
 # quadrature grids
 
 
+def _chunk_sums(
+    counts: np.ndarray,
+    aug: np.ndarray,
+    probe: np.ndarray | None,
+    weighted: np.ndarray,
+) -> np.ndarray:
+    """Weighted sums of each row's shifted likelihood, in fixed-shape chunks.
+
+    A row's log2-likelihood is shifted by its maximum over the probe nodes,
+    which enters as one extra count column against aug's row of ones; with
+    probe None it is shifted by its exact maximum over all nodes instead.
+    """
+    n, c = counts.shape
+    sums = np.empty((-(-n // _CHUNK_ROWS) * _CHUNK_ROWS, weighted.shape[1]))
+    chunk = np.zeros((_CHUNK_ROWS, c + 1))
+    loglike = np.empty((_CHUNK_ROWS, aug.shape[1]))
+    for lo in range(0, n, _CHUNK_ROWS):
+        m = min(_CHUNK_ROWS, n - lo)
+        chunk[:m, :c] = counts[lo : lo + m]
+        chunk[m:, :c] = 0.0
+        if probe is not None:
+            chunk[:, c] = -(chunk[:, :c] @ probe).max(axis=1)
+        np.matmul(chunk, aug, out=loglike)
+        if probe is None:
+            loglike -= loglike.max(axis=1, keepdims=True)
+        np.exp2(loglike, out=loglike)
+        np.matmul(loglike, weighted, out=sums[lo : lo + _CHUNK_ROWS])
+    return sums[:n]
+
+
 def _chunked_means(
-    counts: np.ndarray, logs_t: np.ndarray, weighted: np.ndarray, what: str
+    counts: np.ndarray,
+    aug: np.ndarray,
+    probe: np.ndarray,
+    weighted: np.ndarray,
+    what: str,
 ) -> np.ndarray:
     """Posterior means by quadrature, one row of counts per posterior.
 
-    logs_t (C, N) holds the log of each of the C likelihood factors at each of
-    the N nodes; weighted (N, 1 + F) holds each node's weight followed by the
-    weight times each of the F integrands.  Rows are read in zero-padded
-    chunks of _CHUNK_ROWS, so every matrix product has one shape whatever the
-    batch, and a row's moments depend on its own counts only: they are bit
-    for bit the same in any batch, at any size or position.  That lets a
-    batch of more than one chunk evaluate each bitwise-distinct row once and
-    copy its moments to the rows that repeat it; nothing outlives the call.
+    aug (C + 1, N) holds the log2 of each of the C likelihood factors at each
+    of the N nodes, then a row of ones; probe (C, P) holds the same log2
+    factors at P fixed nodes; weighted (N, 1 + F) holds each node's weight
+    followed by the weight times each of the F integrands.  A row's shift is
+    its log2-likelihood's maximum over the probe nodes.  That is at most the
+    maximum over all nodes, so a row's largest term is at least 1 and its
+    sums can only overflow; a row whose sums do so is evaluated again with
+    its exact maximum as the shift.
+
+    Rows are read in zero-padded chunks of _CHUNK_ROWS, so every matrix
+    product has one shape whatever the batch, and a row's moments depend on
+    its own counts only: they are bit for bit the same in any batch, at any
+    size or position.  That lets a batch of more than one chunk evaluate each
+    bitwise-distinct row once and copy its moments to the rows that repeat
+    it; nothing outlives the call.
     """
     inverse = None
     if counts.shape[0] > _CHUNK_ROWS:
@@ -122,27 +170,29 @@ def _chunked_means(
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(first) - 1
         counts = ordered[first]
-    n = counts.shape[0]
-    out = np.empty((n, weighted.shape[1] - 1))
-    chunk = np.zeros((_CHUNK_ROWS, counts.shape[1]))
-    for lo in range(0, n, _CHUNK_ROWS):
-        m = min(_CHUNK_ROWS, n - lo)
-        chunk[:m] = counts[lo : lo + m]
-        chunk[m:] = 0.0
-        loglike = chunk @ logs_t
-        loglike -= loglike.max(axis=1, keepdims=True)
-        np.exp(loglike, out=loglike)
-        sums = (loglike @ weighted)[:m]
-        den = sums[:, :1]
-        if not np.all(np.isfinite(den)) or np.any(den <= 0):
+    with np.errstate(over="ignore"):
+        sums = _chunk_sums(counts, aug, probe, weighted)
+    failed = ~np.isfinite(sums[:, 0])
+    if np.any(failed):
+        sums[failed] = _chunk_sums(counts[failed], aug, None, weighted)
+        # with its exact shift a finite row's largest term is 1
+        if not np.all(np.isfinite(sums[failed, 0])):
             raise NumericalError(f"{what} posterior normalization failed")
-        out[lo : lo + m] = sums[:, 1:] / den
+    out = sums[:, 1:] / sums[:, :1]
     return out if inverse is None else out[inverse]
 
 
+def _log2_tables(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(aug, probe) of _chunked_means from the (C, N) likelihood factors."""
+    logs = np.log2(factors)
+    aug = np.vstack([logs, np.ones(logs.shape[1])])
+    probe = np.ascontiguousarray(logs[:, :: logs.shape[1] // _PROBE_NODES])
+    return aug, probe
+
+
 @lru_cache(maxsize=1)
-def _single_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre (logs_t, weighted) on [0,1] for theta, theta^2, phi."""
+def _single_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre (aug, probe, weighted) on [0,1] for theta, theta^2."""
     x, w = np.polynomial.legendre.leggauss(_SINGLE_NODES)
     # (1-x)/2 is exactly the reversed node list, so symmetric integrands
     # stay symmetric in floating point
@@ -151,15 +201,18 @@ def _single_tables() -> tuple[np.ndarray, np.ndarray]:
     phi = t * t + omt * omt
     one_minus_phi = 2.0 * t * omt
     weights = 0.5 * w
-    logs_t = np.log(np.stack([t, omt, phi, one_minus_phi]))
-    weighted = np.stack([weights, t, t * t, phi], axis=1)
+    weighted = np.stack([weights, t, t * t], axis=1)
     weighted[:, 1:] *= weights[:, None]
-    return logs_t, weighted
+    return *_log2_tables(np.stack([t, omt, phi, one_minus_phi])), weighted
 
 
 @lru_cache(maxsize=4)
-def _pair_tables(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint tensor grid (logs_t, weighted) over the open 3-simplex."""
+def _pair_tables(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoint tensor grid (aug, probe, weighted) over the open 3-simplex.
+
+    The integrands are the independent moments t++, t+-, t-+, phi++, phi+-,
+    phi-+ and theta_i * theta_j; pair_block derives the rest from them.
+    """
     m = (np.arange(cells) + 0.5) / cells
     u, v, w = np.meshgrid(m, m, m, indexing="ij")
     u, v, w = u.ravel(), v.ravel(), w.ravel()
@@ -167,11 +220,12 @@ def _pair_tables(cells: int) -> tuple[np.ndarray, np.ndarray]:
     t0, t1, t2 = u[keep], v[keep], w[keep]
     t3 = 1.0 - t0 - t1 - t2
     factors = _pair_factors(t0, t1, t2, t3)
-    logs_t = np.log(np.stack(factors))
     ti, tj = factors[8], factors[10]
     # cells have equal weight
-    weighted = np.stack([np.ones_like(t0), *factors[:8], ti * tj, ti, tj], axis=1)
-    return logs_t, weighted
+    weighted = np.stack(
+        [np.ones_like(t0), t0, t1, t2, *factors[4:7], ti * tj], axis=1
+    )
+    return *_log2_tables(np.stack(factors)), weighted
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +383,11 @@ class MomentEngine:
     def single_block(self, counts: np.ndarray) -> np.ndarray:
         """counts (K,4) -> (K,3) moment rows [theta, theta_sq, phi]."""
         counts = np.ascontiguousarray(counts, dtype=float)
-        out = _chunked_means(counts, *_single_tables(), "single-term")
+        means = _chunked_means(counts, *_single_tables(), "single-term")
+        out = np.empty((counts.shape[0], 3))
+        out[:, :2] = means
+        # phi = theta^2 + (1 - theta)^2
+        out[:, 2] = 2.0 * means[:, 1] - 2.0 * means[:, 0] + 1.0
         # exact symmetry: with no sign information the posterior is even
         # about 1/2, so the mean is 1/2 identically
         symmetric = (counts[:, 0] == 0.0) & (counts[:, 1] == 0.0)
@@ -347,9 +405,16 @@ class MomentEngine:
         out = np.empty((counts.shape[0], 11))
         factorized = np.all(counts[:, :8] == 0.0, axis=1)
         full = ~factorized
-        out[full] = _chunked_means(
+        means = _chunked_means(
             counts[full], *_pair_tables(self.pair_cells), "pair"
         )
+        joint = np.empty((means.shape[0], 11))
+        joint[:, [0, 1, 2, 4, 5, 6, 8]] = means
+        # t-- and phi-- are 1 less the other three; theta_i = t++ + t+- and
+        # theta_j = t++ + t-+
+        joint[:, [3, 7]] = 1.0 - means[:, :6].reshape(-1, 2, 3).sum(axis=2)
+        np.add(means[:, :1], means[:, 1:3], out=joint[:, 9:])
+        out[full] = joint
         if np.any(factorized):
             out[factorized] = self._factorized_rows(counts[factorized])
         return out

@@ -370,3 +370,29 @@ def test_from_json_refuses_values_it_would_coerce(tmp_path, size, edit):
     path = tmp_path / "spec.json"
     path.write_text(text)
     assert cli.main(["gen-ising", "--coefficients", str(path)]) == 2
+
+
+
+@pytest.mark.parametrize("value", [3, None], ids=["number", "null"])
+@pytest.mark.parametrize(
+    "where",
+    [
+        ("field_z",), ("local_fields",), ("coupling",), ("tensor_blocks",),
+        ("local_fields", 0), ("tensor_blocks", 0),
+    ],
+    ids=lambda where: where[0] + "-row" * (len(where) - 1),
+)
+def test_from_json_refuses_a_list_field_that_is_not_an_array(tmp_path, where, value):
+    # a number or null where a list or a row belongs is refused, not iterated
+    payload = json.loads(random_ising_spec(1, 2, np.random.default_rng(0)).to_json())
+    *parents, last = where
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    text = json.dumps(payload)
+    with pytest.raises(InvalidInputError, match="JSON array"):
+        IsingSpec.from_json(text)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["gen-ising", "--coefficients", str(path)]) == 2

@@ -279,6 +279,118 @@ class TestBatchInvariance:
         assert np.array_equal(batch, alone[pick])
 
 
+def _direct_single(counts):
+    """Single-term moments straight from the rule: 512 Gauss-Legendre nodes,
+    natural logs, the exact row maximum, and every integrand integrated."""
+    x, w = np.polynomial.legendre.leggauss(512)
+    t, omt = 0.5 * (x + 1.0), 0.5 * (1.0 - x)
+    phi = t * t + omt * omt
+    loglike = counts @ np.log(np.stack([t, omt, phi, 1.0 - phi]))
+    loglike -= loglike.max(axis=1, keepdims=True)
+    weights = 0.5 * w * np.exp(loglike)
+    return (weights @ np.stack([t, t * t, phi], axis=1)) / weights.sum(
+        axis=1, keepdims=True
+    )
+
+
+def _direct_pair(counts, cells=16):
+    """Pair moments straight from the rule: the midpoint grid on the simplex,
+    natural logs, the exact row maximum, and all 11 integrands integrated."""
+    m = (np.arange(cells) + 0.5) / cells
+    u, v, w = (a.ravel() for a in np.meshgrid(m, m, m, indexing="ij"))
+    keep = u + v + w < 1.0
+    t0, t1, t2 = u[keep], v[keep], w[keep]
+    t3 = 1.0 - t0 - t1 - t2
+    phi = [
+        t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3,
+        2.0 * (t0 * t1 + t2 * t3),
+        2.0 * (t0 * t2 + t1 * t3),
+        2.0 * (t0 * t3 + t1 * t2),
+    ]
+    ti, tj = t0 + t1, t0 + t2
+    factors = np.stack([t0, t1, t2, t3, *phi, ti, 1.0 - ti, tj, 1.0 - tj])
+    integrands = np.stack([t0, t1, t2, t3, *phi, ti * tj, ti, tj], axis=1)
+    loglike = counts @ np.log(factors)
+    loglike -= loglike.max(axis=1, keepdims=True)
+    weights = np.exp(loglike)
+    return (weights @ integrands) / weights.sum(axis=1, keepdims=True)
+
+
+def _probe_gap_bits(counts, tables):
+    """How far, in bits, each row's probe maximum falls below its maximum."""
+    aug, probe, _ = tables
+    width = counts.shape[1]
+    return (counts @ aug[:width]).max(axis=1) - (counts @ probe).max(axis=1)
+
+
+# s_joint = (5000, 0, 0, 0): the probe's shift leaves the row's largest term
+# past 2^1024, so the row takes the exact shift
+_FALLBACK_PAIR = pair_counts((5000, 0, 0, 0), (0,) * 4, (0, 0), (0, 0))
+
+
+class TestKernelMatchesDirectRule:
+    """The kernel's shortcuts (log2 tables, a probe shift, derived columns)
+    give the moments of the plain evaluation of the same rule."""
+
+    @staticmethod
+    def _rows(width, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 40, (150, width)).astype(float)
+        counts[::3] += rng.random((len(counts[::3]), width))
+        # a few hundred counts on a row
+        counts[1::5] *= rng.integers(5, 15, (len(counts[1::5]), 1))
+        return counts
+
+    def test_single_block(self):
+        counts = self._rows(4, 7)
+        assert np.allclose(
+            DEFAULT.single_block(counts), _direct_single(counts),
+            rtol=1e-12, atol=1e-15,
+        )
+
+    def test_pair_block(self):
+        counts = self._rows(12, 8)
+        # rows with no joint counts take the exact factorized path instead
+        counts[:, 0] += 1.0
+        counts = np.vstack([counts, _FALLBACK_PAIR])
+        assert np.allclose(
+            DEFAULT.pair_block(counts), _direct_pair(counts),
+            rtol=1e-12, atol=1e-15,
+        )
+
+    def test_the_fallback_row_needs_its_exact_shift(self):
+        gap = _probe_gap_bits(_FALLBACK_PAIR[None, :], _pair_tables(16))[0]
+        assert gap > 1024  # 2^gap is past the largest double
+        with np.errstate(over="raise"):
+            m = pair_row(_FALLBACK_PAIR, DEFAULT)
+        assert np.all(np.isfinite(m))
+        assert np.allclose(
+            m, _direct_pair(_FALLBACK_PAIR[None, :])[0], rtol=1e-12, atol=1e-15
+        )
+
+
+class TestFallbackPurity:
+    """A row that takes the exact shift gets the same bits in any batch."""
+
+    @pytest.mark.parametrize(
+        "kind, width, big",
+        [("single", 4, (8e6, 1.6e6, 0.0, 0.0)), ("pair", 12, _FALLBACK_PAIR)],
+    )
+    def test_mixed_shuffled_batch_matches_rows_alone(self, kind, width, big):
+        rng = np.random.default_rng(4)
+        ordinary = rng.integers(0, 40, (90, width)).astype(float)
+        ordinary[::2] += rng.random((45, width))
+        fallback = np.asarray(big) * rng.uniform(1.0, 1.5, (30, 1))
+        fallback += rng.integers(0, 4, (30, width))
+        tables = _single_tables() if kind == "single" else _pair_tables(16)
+        assert np.all(_probe_gap_bits(fallback, tables) > 1024)
+        batch = np.concatenate([ordinary, fallback])[rng.permutation(120)]
+        block = getattr(DEFAULT, f"{kind}_block")
+        alone = np.concatenate([block(row[None, :]) for row in batch])
+        assert np.all(np.isfinite(alone))
+        assert np.array_equal(block(batch), alone)
+
+
 class _CountingArray(np.ndarray):
     """An array that counts the matrix products it takes part in."""
 
@@ -300,13 +412,13 @@ class TestDistinctRows:
         ids=["single", "pair"],
     )
     def test_repeated_rows_take_one_chunk(self, monkeypatch, tables, width):
-        logs_t, weighted = tables
+        aug, probe, weighted = tables
         rows = np.arange(3 * width, dtype=float).reshape(3, width)
         counts = rows[np.arange(3000) % 3]
-        expected = _chunked_means(rows, logs_t, weighted, "test")
-        counting = logs_t.view(_CountingArray)
+        expected = _chunked_means(rows, aug, probe, weighted, "test")
+        counting = aug.view(_CountingArray)
         monkeypatch.setattr(_CountingArray, "matmuls", 0)
-        out = _chunked_means(counts, counting, weighted, "test")
+        out = _chunked_means(counts, counting, probe, weighted, "test")
         # one chunk of 64 rows; every row evaluated would take 47
         assert _CountingArray.matmuls == 1
         assert np.array_equal(out, expected[np.arange(3000) % 3])
