@@ -44,13 +44,12 @@ from .ledger import (
     TallyLedger,
     clamped_variance,
     estimate,
-    joint_mask,
     pair_contributions,
     pair_covariance,
     term_contributions,
 )
 from .pauli import GroupCover, Observable, _group_indices, commutation_matrix
-from .posterior import DEFAULT_CONFIG, MomentEngine
+from .posterior import DEFAULT_CONFIG, MomentEngine, joint_mask
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -293,8 +292,12 @@ class _FastLoop:
     per tally row, and its prediction is the sum of the picked
     contributions.  A real shot changes the rows its picks move off _REAL;
     only those are evaluated again, and of the group pair variants only
-    those some candidate picks (`needed`).  Double-shot variants are kept
-    only for the runs that may take double shots.
+    those some candidate picks (`needed`).  A one-side variant is built only
+    for a jointly measured row: it adds only independent counts, so a row
+    never measured jointly keeps the zero contribution it started with.
+    Double-shot variants are kept only for the runs that may take double
+    shots.  Of the term moments only theta (`theta`) is kept; the one-side
+    variants read it.
     """
 
     def __init__(self, obs: Observable, cover: GroupCover, enable_double):
@@ -308,7 +311,7 @@ class _FastLoop:
         for r, own in enumerate(self.ledgers):
             own.singles, own.pairs = self.singles[r], self.pairs[r]
         self.traces: list[list[TraceRow]] = [[] for _ in range(runs)]
-        self.smom = np.zeros((runs, p, 3))
+        self.theta = np.zeros((runs, p))
         self.term = np.zeros((runs, 3, p))
         self.pair = np.zeros((runs, 5, q))
         self.term_pick = np.full((g + 1, p), _REAL, dtype=np.int8)
@@ -349,8 +352,10 @@ class _FastLoop:
         The double candidate changes every row, so it also starts a fresh
         ledger.  Four engine calls, each holding the rows of every live run,
         in this order: real single rows, real pair rows, virtual single
-        rows, jointly measured virtual pair rows.  Returns each live run's
-        clamped variance estimate.
+        rows, virtual pair rows.  joint_mask is taken once, on the real pair
+        rows; every virtual pair row built is jointly measured, so the last
+        call takes them all.  Returns each live run's clamped variance
+        estimate.
         """
         coeff, pair_i, pair_j = self.coeff, self.ledger.pair_i, self.ledger.pair_j
         pos, tt = np.nonzero(self.term_pick[cand])
@@ -360,13 +365,15 @@ class _FastLoop:
 
         srows = self.singles[rt, tt]
         smom = self._evaluate(engine.single_block, srows, rt, live)
-        self.smom[rt, tt] = smom
-        pmom = self._evaluate(engine.pair_block, self.pairs[rk, kk], rk, live)
+        self.theta[rt, tt] = smom[:, 0]
+        prows = self.pairs[rk, kk]
+        pmom = self._evaluate(engine.pair_block, prows, rk, live)
         self.term[rt, _REAL, tt] = term_contributions(coeff[tt], smom)
-        joint = joint_mask(self.pairs[rk, kk])
-        self.pair[rk, _REAL, kk] = pair_contributions(
-            coeff, pair_i[kk], pair_j[kk], kk.size, np.flatnonzero(joint),
-            pair_covariance(pmom[joint]),
+        joint = joint_mask(prows)
+        self.pair[rk, _REAL, kk] = np.where(
+            joint,
+            pair_contributions(coeff, pair_i[kk], pair_j[kk], pair_covariance(pmom)),
+            0.0,
         )
 
         d = self.double[rt]
@@ -379,28 +386,25 @@ class _FastLoop:
         ms = self._evaluate(engine.single_block, rows, runs, live)
         self.term[runs, variant, cols] = term_contributions(coeff[cols], ms)
 
-        sel = [self.needed[_BOTH, kk], self.needed[_ISIDE, kk],
-               self.needed[_JSIDE, kk], self.double[rk]]
+        # a one-side row is jointly measured exactly when its real row is; a
+        # both-terms or double row adds a probability vector to joint cells
+        sel = [self.needed[_BOTH, kk], self.needed[_ISIDE, kk] & joint,
+               self.needed[_JSIDE, kk] & joint, self.double[rk]]
         b, i, j, d = sel
         runs = np.concatenate([rk[s] for s in sel])
         cols = np.concatenate([kk[s] for s in sel])
         variant = np.repeat(
             [_BOTH, _ISIDE, _JSIDE, _PAIR_DOUBLE], [np.count_nonzero(s) for s in sel]
         )
-        pairs, theta = self.pairs, self.smom[:, :, 0]
         rows = np.concatenate([
-            _both_pair_rows(pairs[rk[b], kk[b]], pmom[b]),
-            _iside_pair_rows(pairs[rk[i], kk[i]], theta[rk[i], pair_i[kk[i]]]),
-            _jside_pair_rows(pairs[rk[j], kk[j]], theta[rk[j], pair_j[kk[j]]]),
-            _double_pair_rows(pairs[rk[d], kk[d]], pmom[d]),
+            _both_pair_rows(prows[b], pmom[b]),
+            _iside_pair_rows(prows[i], self.theta[rk[i], pair_i[kk[i]]]),
+            _jside_pair_rows(prows[j], self.theta[rk[j], pair_j[kk[j]]]),
+            _double_pair_rows(prows[d], pmom[d]),
         ])
-        # of the pair rows only the jointly measured go in, since the others
-        # contribute exactly zero
-        joint = joint_mask(rows)
-        mp = self._evaluate(engine.pair_block, rows[joint], runs[joint], live)
+        mp = self._evaluate(engine.pair_block, rows, runs, live)
         self.pair[runs, variant, cols] = pair_contributions(
-            coeff, pair_i[cols], pair_j[cols], cols.size, np.flatnonzero(joint),
-            pair_covariance(mp),
+            coeff, pair_i[cols], pair_j[cols], pair_covariance(mp)
         )
 
         return _clamped(

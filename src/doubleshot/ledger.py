@@ -11,7 +11,9 @@ The ledger stores, per observable term, the four single-term counts
 
 First sign in a joint bin is the lower-index term.  Only commuting pairs are
 tracked: anti-commuting pairs can never be jointly measured on a single copy
-and their covariance is pinned to zero, so they need no storage.
+and their covariance is pinned to zero, so they need no storage.  estimate
+adds a covariance only for the pairs measured jointly, by the test
+posterior.joint_mask, which is importable from here too.
 
 Real shots add integer counts; the allocator's virtual updates add fractional
 expectation-valued counts to a copy (see allocator module).
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import _INTEGRAL, InvalidInputError
 from .pauli import Observable, commutation_matrix
-from .posterior import DEFAULT_CONFIG, MomentEngine
+from .posterior import DEFAULT_CONFIG, MomentEngine, joint_mask
 from .simulator import ShotOutcome
 
 _NEGATIVE_VARIANCE_FLOOR = -1e-9
@@ -61,9 +63,8 @@ class TallyLedger:
         self.num_terms = p
         self.singles = np.zeros((p, 4))
         commuting = np.triu(commutation_matrix(obs.strings()), 1)
-        # (2, q): each commuting pair's lower and higher term
-        self.pair_ends = np.array(np.nonzero(commuting))
-        self.pair_i, self.pair_j = self.pair_ends
+        # each commuting pair's lower and higher term
+        self.pair_i, self.pair_j = np.nonzero(commuting)
         # row-major nonzero order: the keys are sorted
         self.pair_keys: tuple[tuple[int, int], ...] = tuple(
             zip(self.pair_i.tolist(), self.pair_j.tolist())
@@ -124,9 +125,8 @@ class TallyLedger:
             c = 1 if o == 1 else 2
             singles[i, cells[c]] += 1.0
             code[i] = c
-        ends = code[self.pair_ends]
-        cell = 3 * ends[0]
-        cell += ends[1]
+        cell = 3 * code[self.pair_i]
+        cell += code[self.pair_j]
         rows = cell.nonzero()[0]
         at = 12 * rows
         at += _PAIR_CELLS[kind][cell[rows]]
@@ -208,11 +208,6 @@ class EstimateReport:
         }
 
 
-def joint_mask(pairs: np.ndarray) -> np.ndarray:
-    """True for pair rows that carry any joint (s or d) counts."""
-    return np.any(pairs[:, :8] > 0, axis=1)
-
-
 def term_contributions(coeff: np.ndarray, smom: np.ndarray) -> np.ndarray:
     """Per-term variance contributions 4 c_i^2 (E[theta^2] - E[theta]^2)."""
     theta = smom[:, 0]
@@ -225,22 +220,10 @@ def pair_covariance(pmom: np.ndarray) -> np.ndarray:
 
 
 def pair_contributions(
-    coeff: np.ndarray,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    num_pairs: int,
-    joint_rows: np.ndarray,
-    cov: np.ndarray,
+    coeff: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, cov: np.ndarray
 ) -> np.ndarray:
-    """Per-pair contributions 8 c_i c_j Cov; zero for never-jointly-measured.
-
-    cov holds the pair_covariance of exactly the joint_rows indices.
-    """
-    out = np.zeros(num_pairs)
-    out[joint_rows] = (
-        8.0 * coeff[pair_i[joint_rows]] * coeff[pair_j[joint_rows]] * cov
-    )
-    return out
+    """Per-pair contributions 8 c_i c_j Cov of jointly measured pairs."""
+    return 8.0 * coeff[pair_i] * coeff[pair_j] * cov
 
 
 def clamped_variance(total: float) -> float:
@@ -286,8 +269,9 @@ def estimate(
 
     joint_rows = np.flatnonzero(joint_mask(ledger.pairs))
     cov = pair_covariance(engine.pair_block(ledger.pairs[joint_rows]))
-    pair_contrib = pair_contributions(
-        coeff, ledger.pair_i, ledger.pair_j, ledger.num_pairs, joint_rows, cov,
+    pair_contrib = np.zeros(ledger.num_pairs)
+    pair_contrib[joint_rows] = pair_contributions(
+        coeff, ledger.pair_i[joint_rows], ledger.pair_j[joint_rows], cov
     )
     variance = clamped_variance(float(np.sum(term_contrib) + np.sum(pair_contrib)))
 

@@ -14,16 +14,19 @@ Component order for all length-4 joint vectors is (++, +-, -+, --), first
 sign = lower term index.
 
 Moments come from deterministic quadrature: Gauss-Legendre in 1-D and a
-midpoint tensor grid on the simplex.  When a pair has no joint counts at all,
+midpoint tensor grid on the simplex.  joint_mask is the one test of whether
+a pair row was measured jointly (holds any joint count).  When it was not,
 its posterior factorizes into the two 1-D posteriors and the moments are
-assembled as exact products; this is what makes never-measured-together pairs
-contribute exactly zero covariance.  The quadrature reads rows in fixed-shape
-chunks, so a row's moments are the same bits in whatever batch the row is
-evaluated.  It works in base 2, shifts each row by its log-likelihood's
-maximum over a few probe nodes (exactly, for the rare row that this shift
-overflows), and integrates only the independent moments; the engine derives
-the rest.  mcmc_pair_block, a Metropolis random walk in additive-logistic
-coordinates, checks the pair quadrature independently; no run calls it.
+assembled as exact products; this is what makes never-measured-together
+pairs contribute exactly zero covariance, and ledger.estimate and the
+allocator's cohort step use the same test to skip those pairs.  The
+quadrature reads rows in fixed-shape chunks, so a row's moments are the same
+bits in whatever batch the row is evaluated.  It works in base 2, shifts
+each row by its log-likelihood's maximum over a few probe nodes (over every
+node, for the rare row that this shift overflows), and integrates only the
+independent moments; the engine derives the rest.  mcmc_pair_block, a
+Metropolis random walk in additive-logistic coordinates, checks the pair
+quadrature independently; no run calls it.
 """
 from __future__ import annotations
 
@@ -104,14 +107,13 @@ def _pair_factors(t0, t1, t2, t3) -> list:
 def _chunk_sums(
     counts: np.ndarray,
     aug: np.ndarray,
-    probe: np.ndarray | None,
+    probe: np.ndarray,
     weighted: np.ndarray,
 ) -> np.ndarray:
     """Weighted sums of each row's shifted likelihood, in fixed-shape chunks.
 
     A row's log2-likelihood is shifted by its maximum over the probe nodes,
-    which enters as one extra count column against aug's row of ones; with
-    probe None it is shifted by its exact maximum over all nodes instead.
+    which enters as one extra count column against aug's row of ones.
     """
     n, c = counts.shape
     sums = np.empty((-(-n // _CHUNK_ROWS) * _CHUNK_ROWS, weighted.shape[1]))
@@ -121,11 +123,8 @@ def _chunk_sums(
         m = min(_CHUNK_ROWS, n - lo)
         chunk[:m, :c] = counts[lo : lo + m]
         chunk[m:, :c] = 0.0
-        if probe is not None:
-            chunk[:, c] = -(chunk[:, :c] @ probe).max(axis=1)
+        chunk[:, c] = -(chunk[:, :c] @ probe).max(axis=1)
         np.matmul(chunk, aug, out=loglike)
-        if probe is None:
-            loglike -= loglike.max(axis=1, keepdims=True)
         np.exp2(loglike, out=loglike)
         np.matmul(loglike, weighted, out=sums[lo : lo + _CHUNK_ROWS])
     return sums[:n]
@@ -147,7 +146,7 @@ def _chunked_means(
     its log2-likelihood's maximum over the probe nodes.  That is at most the
     maximum over all nodes, so a row's largest term is at least 1 and its
     sums can only overflow; a row whose sums do so is evaluated again with
-    its exact maximum as the shift.
+    every node as its probe, which makes the shift its exact maximum.
 
     Rows are read in zero-padded chunks of _CHUNK_ROWS, so every matrix
     product has one shape whatever the batch, and a row's moments depend on
@@ -174,8 +173,9 @@ def _chunked_means(
         sums = _chunk_sums(counts, aug, probe, weighted)
     failed = ~np.isfinite(sums[:, 0])
     if np.any(failed):
-        sums[failed] = _chunk_sums(counts[failed], aug, None, weighted)
-        # with its exact shift a finite row's largest term is 1
+        sums[failed] = _chunk_sums(counts[failed], aug, aug[:-1], weighted)
+        # shifted by its maximum over every node, a finite row's largest
+        # term is 1 up to rounding
         if not np.all(np.isfinite(sums[failed, 0])):
             raise NumericalError(f"{what} posterior normalization failed")
     out = sums[:, 1:] / sums[:, :1]
@@ -363,6 +363,11 @@ def mcmc_pair_block(counts: np.ndarray) -> np.ndarray:
 # the engine
 
 
+def joint_mask(pairs: np.ndarray) -> np.ndarray:
+    """True for pair rows that carry any joint (s or d) count."""
+    return np.any(pairs[:, :8] != 0.0, axis=1)
+
+
 @dataclass(frozen=True)
 class MomentEngine:
     """Evaluates posterior moment rows on a pair grid of pair_cells per axis.
@@ -403,8 +408,8 @@ class MomentEngine:
         """
         counts = np.ascontiguousarray(counts, dtype=float)
         out = np.empty((counts.shape[0], 11))
-        factorized = np.all(counts[:, :8] == 0.0, axis=1)
-        full = ~factorized
+        full = joint_mask(counts)
+        factorized = ~full
         means = _chunked_means(
             counts[full], *_pair_tables(self.pair_cells), "pair"
         )

@@ -25,7 +25,7 @@ from doubleshot.allocator import (
 from doubleshot.errors import InvalidInputError, NumericalError, ResourceLimitError
 from doubleshot.experiments import cover_for, rep_seed, run_repetitions
 from doubleshot.hamiltonians import build_ising, load_builtin, random_ising_spec
-from doubleshot.ledger import TallyLedger, estimate
+from doubleshot.ledger import TallyLedger, estimate, joint_mask
 from doubleshot.pauli import GroupCover, build_group_cover, parse_observable
 from doubleshot.posterior import DEFAULT_CONFIG, MomentEngine
 from doubleshot.simulator import (
@@ -490,16 +490,23 @@ class TestRunAllocation:
         run_allocation(obs, state, cover, no_double)
         assert built == []
 
-    def test_incremental_predictions_equal_reference_bits(self):
+    @pytest.mark.parametrize(
+        "enable_double, script",
+        [(True, [0, 1, "double", 0, 2, "double", 1]), (False, [0, 1, 0, 2, 1, 3])],
+        ids=["double-on", "double-off"],
+    )
+    def test_incremental_predictions_equal_reference_bits(self, enable_double, script):
         # After every kind of real action the fast loop's tables must give
         # each candidate exactly the variance estimate() gives its
-        # hypothetical ledger, bit for bit.
+        # hypothetical ledger, bit for bit.  Without double shots the pairs
+        # split across groups are never measured jointly, so at every step
+        # the loop skips their one-side variants.
         obs = load_builtin("ising-2x2")
         cover = cover_for(obs)
         state = ground_state(obs)
         config = AllocationConfig(budget=30, seed=2)
         engine = DEFAULT_CONFIG
-        loop = _FastLoop(obs, cover, enable_double=True)
+        loop = _FastLoop(obs, cover, enable_double=enable_double)
         # a cohort of one run, started as a fresh ledger: every row evaluated
         live = np.array([0])
         variance = loop.update(engine, live, np.array([cover.num_groups]))
@@ -507,8 +514,8 @@ class TestRunAllocation:
         rng = np.random.default_rng(config.seed)
         actions = [MeasurementAction(kind="group", group=g)
                    for g in range(cover.num_groups)]
-        actions.append(MeasurementAction(kind="double"))
-        script = [0, 1, "double", 0, 2, "double", 1]
+        if enable_double:
+            actions.append(MeasurementAction(kind="double"))
         for step in script:
             want = [
                 estimate(
@@ -516,7 +523,8 @@ class TestRunAllocation:
                 ).variance
                 for a in actions
             ]
-            assert loop.predict(live, np.array([True]))[0].tolist() == want
+            predicted = loop.predict(live, np.array([enable_double]))[0]
+            assert predicted[: len(actions)].tolist() == want
             assert variance[0] == estimate(ledger, obs, engine).variance
             if step == "double":
                 candidate = cover.num_groups
@@ -709,3 +717,45 @@ class TestCohortStepIsArrays:
         two, sixteen = count(2), count(16)
         for name in helpers:
             assert 0 < sixteen[name] <= 2 * two[name], (name, two, sixteen)
+
+
+class TestOneSideRowsAreJoint:
+    def test_no_virtual_pair_row_is_discarded(self, monkeypatch):
+        # The cohort step builds a one-side pair row only for a pair already
+        # measured jointly, so every virtual pair row it builds carries a
+        # covariance and goes to the engine.  Checking that on every row
+        # leaves the runs as they are.
+        import doubleshot.allocator as alloc_mod
+
+        def runs():
+            obs = load_builtin("ising-2x2")
+            cover, state = cover_for(obs), ground_state(obs)
+            out = []
+            for enable_double in (True, False):
+                configs = [
+                    AllocationConfig(
+                        budget=30, enable_double=enable_double, seed=rep_seed(0, r)
+                    )
+                    for r in range(3)
+                ]
+                out.extend(run_allocations(obs, state, cover, configs))
+            wide = load_builtin("ising-2x3")
+            out.append(run_allocation(
+                wide, ground_state(wide), cover_for(wide),
+                AllocationConfig(budget=40, seed=0),
+            ))
+            return [(r.trace, r.report) for r in out]
+
+        plain = runs()
+        built = []
+        for name in ("_iside_pair_rows", "_jside_pair_rows"):
+            real = getattr(alloc_mod, name)
+
+            def joint_only(pairs, theta, _real=real):
+                assert np.all(joint_mask(pairs))
+                built.append(len(pairs))
+                return _real(pairs, theta)
+
+            monkeypatch.setattr(alloc_mod, name, joint_only)
+        assert runs() == plain
+        assert sum(built) > 0
