@@ -77,11 +77,6 @@ class MeasurementAction:
         else:
             raise InvalidInputError(f"unknown action kind {self.kind!r}")
 
-    @property
-    def cost(self) -> int:
-        """Effective-budget units consumed: 1 single-copy shot or 2 copies."""
-        return 1 if self.kind == "group" else 2
-
 
 @dataclass(frozen=True)
 class AllocationConfig:
@@ -292,12 +287,14 @@ class _FastLoop:
     per tally row, and its prediction is the sum of the picked
     contributions.  A real shot changes the rows its picks move off _REAL;
     only those are evaluated again, and of the group pair variants only
-    those some candidate picks (`needed`).  A one-side variant is built only
-    for a jointly measured row: it adds only independent counts, so a row
-    never measured jointly keeps the zero contribution it started with.
-    Double-shot variants are kept only for the runs that may take double
-    shots.  Of the term moments only theta (`theta`) is kept; the one-side
-    variants read it.
+    those some candidate picks (`needed`).  joint_mask selects the one-side
+    variants: one is built only for a jointly measured row, since it adds
+    only independent counts, so a row never measured jointly keeps the zero
+    contribution it started with.  A real pair row never measured jointly
+    gets its zero from the engine, whose factorized moments give a
+    covariance of exactly 0.0.  Double-shot variants are kept only for the
+    runs that may take double shots.  Of the term moments only theta
+    (`theta`) is kept; the one-side variants read it.
     """
 
     def __init__(self, obs: Observable, cover: GroupCover, enable_double):
@@ -353,9 +350,10 @@ class _FastLoop:
         ledger.  Four engine calls, each holding the rows of every live run,
         in this order: real single rows, real pair rows, virtual single
         rows, virtual pair rows.  joint_mask is taken once, on the real pair
-        rows; every virtual pair row built is jointly measured, so the last
-        call takes them all.  Returns each live run's clamped variance
-        estimate.
+        rows, and selects the one-side variants; a real row never measured
+        jointly stores the engine's exact zero.  Every virtual pair row built
+        is jointly measured, so the last call takes them all.  Returns each
+        live run's clamped variance estimate.
         """
         coeff, pair_i, pair_j = self.coeff, self.ledger.pair_i, self.ledger.pair_j
         pos, tt = np.nonzero(self.term_pick[cand])
@@ -370,10 +368,8 @@ class _FastLoop:
         pmom = self._evaluate(engine.pair_block, prows, rk, live)
         self.term[rt, _REAL, tt] = term_contributions(coeff[tt], smom)
         joint = joint_mask(prows)
-        self.pair[rk, _REAL, kk] = np.where(
-            joint,
-            pair_contributions(coeff, pair_i[kk], pair_j[kk], pair_covariance(pmom)),
-            0.0,
+        self.pair[rk, _REAL, kk] = pair_contributions(
+            coeff, pair_i[kk], pair_j[kk], pair_covariance(pmom)
         )
 
         d = self.double[rt]
@@ -476,8 +472,10 @@ class _Shots:
     """Shot sampling for every run of one state.
 
     The state is fixed, so the table of every term's signed permutation and
-    the Bell table are made once, at first use, and serve every run; the
-    cover's groups were checked by _check_cover.
+    the Bell table are made once, at first use, and serve every run.  The
+    cover's groups were checked by _check_cover, and every config's
+    max_qubits against the state's width by run_allocations, so double
+    shots are drawn with the state's width as the cap.
     """
 
     def __init__(self, obs: Observable, state: StateVector, cover: GroupCover):
@@ -485,7 +483,7 @@ class _Shots:
         self.table = None
         self.bell = None
 
-    def sample(self, candidate: int, rng, max_qubits: int):
+    def sample(self, candidate: int, rng):
         """One shot of a candidate (a group's index, or num_groups for double)."""
         if candidate < self.cover.num_groups:
             if self.table is None:
@@ -495,9 +493,9 @@ class _Shots:
                 table=self.table,
             )
         if self.bell is None:
-            self.bell = _bell_table(self.state, max_qubits)
+            self.bell = _bell_table(self.state, self.state.width)
         return sample_double_shot(
-            self.state, self.obs, rng, max_qubits=max_qubits, bell=self.bell
+            self.state, self.obs, rng, max_qubits=self.state.width, bell=self.bell
         )
 
 
@@ -542,7 +540,7 @@ def _run_cohort(
         runs, picks = live.tolist(), best.tolist()
         for r, c in zip(runs, picks):
             try:
-                outcome = shots.sample(c, rngs[r], configs[r].max_qubits)
+                outcome = shots.sample(c, rngs[r])
                 loop.ledgers[r].record(outcome)
             except Exception as err:
                 err.partial_trace = tuple(loop.traces[r])
@@ -573,20 +571,19 @@ def run_allocations(
 ) -> list[AllocationResult]:
     """One allocation run per config, in order, run in cohorts.
 
-    The runs of a cohort (cohort_size of them) step together as one array
-    program (see _FastLoop): each re-evaluation phase is one engine call
-    holding the rows of every live run, and a run leaves the cohort when
-    its budget is spent.  Each run keeps its own ledger, rng and trace, and
-    gets the same bits as alone.  One engine serves every run of the call.
-    The cover, and each config's max_qubits against the state's width, are
-    checked before any shot.
+    The runs of a cohort (cohort_size of them; a lone run is a cohort of
+    one) step together as one array program (see _FastLoop): each
+    re-evaluation phase is one engine call holding the rows of every live
+    run, and a run leaves the cohort when its budget is spent.  Each run
+    keeps its own ledger, rng and trace, and gets the same bits as alone.
+    One engine serves every run of the call.  The cover, and each config's
+    max_qubits against the state's width, are checked before any shot.
     """
     _check_cover(obs, cover)
     for config in configs:
         _check_cap(state.width, config.max_qubits)
     shots = _Shots(obs, state, cover)
-    # a lone run needs no cohort, nor the pair scan that sizes one
-    size = cohort_size(obs) if len(configs) > 1 else 1
+    size = cohort_size(obs)
     results = []
     for lo in range(0, len(configs), size):
         results.extend(_run_cohort(obs, cover, configs[lo : lo + size], engine, shots))

@@ -33,7 +33,7 @@ from .allocator import (  # noqa: F401
     run_allocation,
     run_allocations,
 )
-from .errors import InvalidInputError, _is_integer, _require_bool, _require_integer
+from .errors import InvalidInputError, _require_bool, _require_integer
 from .hamiltonians import load_builtin
 from .pauli import GroupCover, Observable, build_group_cover, load_observable
 from .posterior import DEFAULT_CONFIG, MomentEngine, phi_of_theta
@@ -71,8 +71,8 @@ class ExperimentSpec:
 
     ``observable_source`` is a file path or ``builtin:<name>`` with name in
     BUILTIN_NAMES; ``state_source`` is ``ground-state`` or an amplitude-file
-    path.  ``budgets`` are effective-shot caps, strictly increasing, stored
-    as ``int``; a float budget is taken only if its value is whole.
+    path.  ``budgets`` are effective-shot caps: integers >= 1, strictly
+    increasing, stored as ``int``.
     """
 
     observable_source: str
@@ -96,14 +96,11 @@ class ExperimentSpec:
                 f"budgets must be a sequence of integers, got {self.budgets!r}"
             ) from None
         for b in budgets:
-            if not (_is_integer(b) or isinstance(b, float) and b.is_integer()):
-                raise InvalidInputError(f"budget must be an integer, got {b!r}")
+            _require_integer("budget", b, 1)
         object.__setattr__(self, "budgets", tuple(int(b) for b in budgets))
         _require_integer("repetitions", self.repetitions, 1)
         if not self.budgets:
             raise InvalidInputError("at least one budget is required")
-        if any(b < 1 for b in self.budgets):
-            raise InvalidInputError(f"budgets must be >= 1, got {self.budgets}")
         if any(b >= c for b, c in zip(self.budgets, self.budgets[1:])):
             raise InvalidInputError(
                 f"budgets must be strictly increasing, got {self.budgets}"
@@ -377,7 +374,7 @@ def calibrate_rows(spec: ExperimentSpec) -> CsvDocument:
                 "flagged": int(flagged),
             }
         )
-    z_arr = np.array(z_values) if z_values else np.zeros(0)
+    z_arr = np.array(z_values)
     mean_z = float(z_arr.mean()) if z_arr.size else math.nan
     rms_z = float(np.sqrt((z_arr**2).mean())) if z_arr.size else math.nan
     return CsvDocument(

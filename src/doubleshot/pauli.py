@@ -16,7 +16,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ObservableParseError, _is_integer
+from .errors import (
+    InvalidInputError,
+    ObservableParseError,
+    _is_integer,
+    _require_integer,
+)
 
 PAULI_LETTERS = "IXYZ"
 
@@ -97,6 +102,7 @@ class Observable:
     identity_offset: float = 0.0
 
     def __post_init__(self):
+        _require_integer("width", self.width, 1)
         seen = set()
         for t in self.terms:
             if t.string.width != self.width:

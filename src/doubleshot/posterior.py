@@ -18,15 +18,16 @@ midpoint tensor grid on the simplex.  joint_mask is the one test of whether
 a pair row was measured jointly (holds any joint count).  When it was not,
 its posterior factorizes into the two 1-D posteriors and the moments are
 assembled as exact products; this is what makes never-measured-together
-pairs contribute exactly zero covariance, and ledger.estimate and the
-allocator's cohort step use the same test to skip those pairs.  The
-quadrature reads rows in fixed-shape chunks, so a row's moments are the same
-bits in whatever batch the row is evaluated.  It works in base 2, shifts
-each row by its log-likelihood's maximum over a few probe nodes (over every
-node, for the rare row that this shift overflows), and integrates only the
-independent moments; the engine derives the rest.  mcmc_pair_block, a
-Metropolis random walk in additive-logistic coordinates, checks the pair
-quadrature independently; no run calls it.
+pairs contribute exactly zero covariance.  ledger.estimate uses the same
+test to skip those pairs, and the allocator's cohort step to skip their
+one-side variants.  The quadrature reads rows in fixed-shape chunks, so a
+row's moments are the same bits in whatever batch the row is evaluated.
+It works in base 2, shifts each row by its log-likelihood's maximum over a
+few probe nodes (over every node, for the rare row that this shift
+overflows), and integrates only the independent moments; the engine
+derives the rest.  mcmc_pair_block, a Metropolis random walk in
+additive-logistic coordinates, checks the pair quadrature independently;
+no run calls it.
 """
 from __future__ import annotations
 
@@ -151,24 +152,22 @@ def _chunked_means(
     Rows are read in zero-padded chunks of _CHUNK_ROWS, so every matrix
     product has one shape whatever the batch, and a row's moments depend on
     its own counts only: they are bit for bit the same in any batch, at any
-    size or position.  That lets a batch of more than one chunk evaluate each
-    bitwise-distinct row once and copy its moments to the rows that repeat
-    it; nothing outlives the call.
+    size or position.  That lets every call evaluate each bitwise-distinct
+    row once and copy its moments to the rows that repeat it; nothing
+    outlives the call.
     """
-    inverse = None
-    if counts.shape[0] > _CHUNK_ROWS:
-        # Sorted by a weighted sum, equal rows sit together; a row starts a
-        # new group where its bits differ from the row before it.  Equal rows
-        # whose sums differ, or unequal rows whose sums tie, cost at most an
-        # extra evaluation, never a wrong moment.
-        order = np.argsort(counts @ _ROW_KEY_WEIGHTS[: counts.shape[1]])
-        ordered = counts[order]
-        bits = ordered.view(np.uint64)
-        first = np.ones(len(order), dtype=bool)
-        np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(first) - 1
-        counts = ordered[first]
+    # Sorted by a weighted sum, equal rows sit together; a row starts a new
+    # group where its bits differ from the row before it.  Equal rows whose
+    # sums differ, or unequal rows whose sums tie, cost at most an extra
+    # evaluation, never a wrong moment.
+    order = np.argsort(counts @ _ROW_KEY_WEIGHTS[: counts.shape[1]])
+    ordered = counts[order]
+    bits = ordered.view(np.uint64)
+    first = np.ones(len(order), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    counts = ordered[first]
     with np.errstate(over="ignore"):
         sums = _chunk_sums(counts, aug, probe, weighted)
     failed = ~np.isfinite(sums[:, 0])
@@ -178,8 +177,7 @@ def _chunked_means(
         # term is 1 up to rounding
         if not np.all(np.isfinite(sums[failed, 0])):
             raise NumericalError(f"{what} posterior normalization failed")
-    out = sums[:, 1:] / sums[:, :1]
-    return out if inverse is None else out[inverse]
+    return (sums[:, 1:] / sums[:, :1])[inverse]
 
 
 def _log2_tables(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

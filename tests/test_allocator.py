@@ -51,10 +51,6 @@ def single_problem():
 
 
 class TestMeasurementAction:
-    def test_costs(self):
-        assert MeasurementAction(kind="group", group=0).cost == 1
-        assert MeasurementAction(kind="double").cost == 2
-
     def test_group_requires_index(self):
         with pytest.raises(InvalidInputError):
             MeasurementAction(kind="group")

@@ -64,11 +64,6 @@ class TestExperimentSpec:
         assert spec.enable_double is True
         assert spec.budgets == (8,)
 
-    def test_budgets_coerced_to_ints(self):
-        spec = toy_spec(budgets=[5.0, 10.0])
-        assert spec.budgets == (5, 10)
-        assert all(isinstance(b, int) for b in spec.budgets)
-
     def test_rejects_bad_repetitions(self):
         with pytest.raises(InvalidInputError):
             toy_spec(repetitions=0)
@@ -96,6 +91,8 @@ class TestExperimentSpec:
         "overrides",
         [
             {"budgets": (2.5,)},
+            {"budgets": (5.0,)},
+            {"budgets": (np.float64(5),)},
             {"budgets": (True, 5)},
             {"budgets": ("8",)},
             {"repetitions": 2.5},
@@ -103,7 +100,8 @@ class TestExperimentSpec:
             {"base_seed": 1.5},
             {"max_qubits": 10.5},
         ],
-        ids=["budget-float", "budget-bool", "budget-str", "repetitions-float",
+        ids=["budget-float", "budget-whole-float", "budget-numpy-float",
+             "budget-bool", "budget-str", "repetitions-float",
              "repetitions-bool", "base_seed-float", "max_qubits-float"],
     )
     def test_rejects_non_integers(self, overrides):
@@ -127,8 +125,9 @@ class TestExperimentSpec:
             toy_spec(**overrides)
 
     def test_takes_numpy_integers(self):
+        # a list of budgets is stored as a tuple of int
         spec = toy_spec(
-            budgets=(np.int64(5), np.int32(9)), repetitions=np.int64(2),
+            budgets=[np.int64(5), np.int32(9)], repetitions=np.int64(2),
             base_seed=np.int16(3), max_qubits=np.int64(10),
         )
         assert spec.budgets == (5, 9)

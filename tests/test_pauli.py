@@ -203,6 +203,11 @@ class TestObservableInvariants:
         with pytest.raises(InvalidInputError):
             Observable(width=2, terms=(PauliTerm(1.0, PauliString("X")),))
 
+    @pytest.mark.parametrize("width", [1.0, -1, 0, True])
+    def test_width_must_be_a_positive_integer(self, width):
+        with pytest.raises(InvalidInputError, match="width"):
+            Observable(width=width, terms=())
+
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
 

@@ -161,11 +161,27 @@ class TestPairMoments:
         # cov = 11/30 - 0.6 * 0.6 = 1/150
         assert covariance(m) == pytest.approx(1 / 150, abs=5e-4)
 
-    def test_factorized_branch_exact(self):
-        # no joint counts at all -> moments are exact products of 1-D posteriors
-        m = pair_row(pair_counts((0,) * 4, (0,) * 4, (5, 2), (1, 3)), DEFAULT)
-        si = single_row((5, 2, 0, 0), DEFAULT)
-        sj = single_row((1, 3, 0, 0), DEFAULT)
+    @pytest.mark.parametrize(
+        "s_i, s_j",
+        [
+            ((5, 2), (1, 3)),
+            ((2.5, 0.5), (0.75, 1.25)),
+            ((0, 0), (0, 0)),
+            ((4, 1), (0, 0)),
+            ((0, 0), (0, 6)),
+            ((5000, 0), (3, 3)),
+            ((0, 5000), (4999.5, 0.5)),
+        ],
+        ids=["whole", "fractional", "zero", "i-only", "j-only", "large",
+             "large-both"],
+    )
+    def test_factorized_branch_exact(self, s_i, s_j):
+        # no joint counts at all -> moments are exact products of 1-D
+        # posteriors, and the covariance is exactly zero, which the
+        # allocator's cohort step stores for such a pair as it comes
+        m = pair_row(pair_counts((0,) * 4, (0,) * 4, s_i, s_j), DEFAULT)
+        si = single_row((*s_i, 0, 0), DEFAULT)
+        sj = single_row((*s_j, 0, 0), DEFAULT)
         assert covariance(m) == 0.0
         assert m[THETA_I] == pytest.approx(si[THETA], abs=1e-14)
         assert m[THETA_J] == pytest.approx(sj[THETA], abs=1e-14)
