@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw random coefficients with the documented defaults",
     )
-    p.add_argument("--nx", type=int, help="lattice extent along x")
-    p.add_argument("--ny", type=int, help="lattice extent along y")
+    p.add_argument("--nx", type=int, help="lattice extent along x (--random only)")
+    p.add_argument("--ny", type=int, help="lattice extent along y (--random only)")
     p.add_argument(
         "--seed", type=_int_at_least(0), default=0, help="seed for --random"
     )
@@ -246,6 +246,8 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_ising(args) -> int:
+    if (args.nx is not None, args.ny is not None) != (args.random, args.random):
+        raise InvalidInputError("--nx and --ny go with --random and only with it")
     if args.builtin is not None:
         text = builtin_text(args.builtin)
     elif args.coefficients is not None:
@@ -254,8 +256,6 @@ def _cmd_gen_ising(args) -> int:
         )
         text = serialize_observable(build_ising(spec))
     else:
-        if args.nx is None or args.ny is None:
-            raise InvalidInputError("--random requires --nx and --ny")
         spec = random_ising_spec(args.nx, args.ny, np.random.default_rng(args.seed))
         text = serialize_observable(build_ising(spec))
     _emit_text(text, args.out)

@@ -1,9 +1,12 @@
-"""Exception taxonomy shared across the package, and the integer and bool
-checks that every module refuses bad input with.
+"""Exception taxonomy shared across the package, and the integer, real and
+bool checks that every module refuses bad input with.
 
 The CLI maps these onto exit codes: usage/parse problems exit 2, numerical
 failures exit 3, resource-cap violations exit 4.
 """
+import math
+import numbers
+
 import numpy as np
 
 # an integer input (a term index, a count, a seed) is one of these types,
@@ -44,6 +47,20 @@ def _require_integer(name: str, value, minimum: int) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_real(name: str, value) -> float:
+    """value as a float; refuses a bool, a non-real and a value that is not
+    finite as a float (an int beyond the float range is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise InvalidInputError(f"{name} must be finite, got {result!r}")
+    return result
 
 
 def _require_bool(name: str, value) -> None:

@@ -28,14 +28,12 @@ entries, so the emitted file has one merged coefficient per distinct string.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidInputError, _require_integer
+from .errors import InvalidInputError, _require_integer, _require_real
 from .pauli import Observable, observable_from_pairs, parse_observable
 
 __all__ = [
@@ -113,18 +111,10 @@ def lattice_edges(nx: int, ny: int) -> tuple[tuple[int, int], ...]:
 
 
 def _as_float_tuple(values, what: str, count: int) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        # float() would read True as 1.0 and "0.5" as 0.5
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidInputError(f"{what} entries must be numbers, got {v!r}")
-        f = float(v)
-        if not math.isfinite(f):
-            raise InvalidInputError(f"non-finite entry in {what}")
-        out.append(f)
+    out = tuple(_require_real(f"{what} entry", v) for v in values)
     if len(out) != count:
         raise InvalidInputError(f"{what} must have {count} entries, got {len(out)}")
-    return tuple(out)
+    return out
 
 
 def _json_array(value, what: str) -> list:

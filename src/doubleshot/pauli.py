@@ -9,7 +9,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,6 +20,7 @@ from .errors import (
     ObservableParseError,
     _is_integer,
     _require_integer,
+    _require_real,
 )
 
 PAULI_LETTERS = "IXYZ"
@@ -104,25 +104,28 @@ class Observable:
     def __post_init__(self):
         _require_integer("width", self.width, 1)
         seen = set()
+        terms = []
         for t in self.terms:
+            letters = t.string.letters
             if t.string.width != self.width:
                 raise InvalidInputError(
-                    f"term {t.string.letters!r} has width {t.string.width}, "
+                    f"term {letters!r} has width {t.string.width}, "
                     f"observable has width {self.width}"
                 )
             if t.string.is_identity:
                 raise InvalidInputError(
                     "identity term must live in identity_offset"
                 )
-            if not math.isfinite(t.coefficient) or t.coefficient == 0.0:
-                raise InvalidInputError(
-                    f"bad coefficient {t.coefficient!r} for {t.string.letters!r}"
-                )
-            if t.string.letters in seen:
-                raise InvalidInputError(f"duplicate term {t.string.letters!r}")
-            seen.add(t.string.letters)
-        if not math.isfinite(self.identity_offset):
-            raise InvalidInputError("non-finite identity offset")
+            c = _require_real(f"coefficient of {letters!r}", t.coefficient)
+            if c == 0.0:
+                raise InvalidInputError(f"zero coefficient for {letters!r}")
+            if letters in seen:
+                raise InvalidInputError(f"duplicate term {letters!r}")
+            seen.add(letters)
+            terms.append(PauliTerm(c, t.string))
+        offset = _require_real("identity_offset", self.identity_offset)
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "identity_offset", offset)
 
     @property
     def num_terms(self) -> int:
@@ -135,85 +138,77 @@ class Observable:
         return [t.string for t in self.terms]
 
 
-def observable_from_pairs(
-    pairs: Iterable[tuple[float, str]], width: int | None = None
-) -> Observable:
-    """Build a normalized Observable from (coefficient, letters) pairs.
+def _checked_pair(coeff, letters: str, width: int | None) -> tuple[float, PauliString]:
+    """One input pair as (float, PauliString), of *width* letters if not None."""
+    s = PauliString(letters)
+    if width is not None and s.width != width:
+        raise InvalidInputError(
+            f"string width {s.width} differs from earlier width {width}"
+        )
+    return _require_real(f"coefficient of {letters!r}", coeff), s
 
-    Duplicates are merged by addition in first-occurrence order, identity
-    terms are folded into the offset, and merged coefficients below
+
+def _normalized(width: int, pairs: Iterable[tuple[float, PauliString]]) -> Observable:
+    """The Observable of checked pairs.
+
+    Identity terms are folded into the offset, duplicates are merged by
+    addition in first-occurrence order, and merged coefficients below
     COEFFICIENT_DROP_TOL are dropped.
     """
-    merged: dict[str, float] = {}
-    order: list[str] = []
     offset = 0.0
-    for coeff, letters in pairs:
-        s = PauliString(letters)
-        if width is None:
-            width = s.width
-        elif s.width != width:
-            raise InvalidInputError(
-                f"inconsistent widths: expected {width}, got {s.width} "
-                f"for {letters!r}"
-            )
-        if not math.isfinite(coeff):
-            raise InvalidInputError(f"non-finite coefficient for {letters!r}")
+    # keyed by the first occurrence of each string: equal letters, equal key
+    merged: dict[PauliString, float] = {}
+    for coeff, s in pairs:
         if s.is_identity:
             offset += coeff
-            continue
-        if letters not in merged:
-            merged[letters] = 0.0
-            order.append(letters)
-        merged[letters] += coeff
-    if width is None:
-        raise InvalidInputError("no terms given")
+        else:
+            merged[s] = merged.get(s, 0.0) + coeff
     terms = tuple(
-        PauliTerm(merged[l], PauliString(l))
-        for l in order
-        if abs(merged[l]) >= COEFFICIENT_DROP_TOL
+        PauliTerm(c, s) for s, c in merged.items() if abs(c) >= COEFFICIENT_DROP_TOL
     )
     return Observable(width=width, terms=terms, identity_offset=offset)
 
 
+def observable_from_pairs(
+    pairs: Iterable[tuple[float, str]], width: int | None = None
+) -> Observable:
+    """Build a normalized Observable (see _normalized) from (coefficient,
+    letters) pairs, all of *width* letters, or of the first pair's."""
+    checked = []
+    for coeff, letters in pairs:
+        c, s = _checked_pair(coeff, letters, width)
+        checked.append((c, s))
+        if width is None:
+            width = s.width
+    if width is None:
+        raise InvalidInputError("no terms given")
+    return _normalized(width, checked)
+
+
 def parse_observable(text: str) -> Observable:
-    """Parse observable-file content into a normalized Observable."""
-    pairs = []
+    """Parse observable-file content as observable_from_pairs reads pairs,
+    naming the line of a refusal."""
+    checked = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ObservableParseError(
-                f"expected '<coefficient> <letters>', got {raw!r}", lineno
-            )
+        # an InvalidInputError is a ValueError, so it is caught first
         try:
-            coeff = float(fields[0])
-        except ValueError:
-            raise ObservableParseError(
-                f"unreadable coefficient {fields[0]!r}", lineno
-            ) from None
-        if not math.isfinite(coeff):
-            raise ObservableParseError(
-                f"non-finite coefficient {fields[0]!r}", lineno
-            )
-        letters = fields[1].upper()
-        try:
-            s = PauliString(letters)
+            coeff, letters = line.split()
+            c, s = _checked_pair(float(coeff), letters.upper(), width)
         except InvalidInputError as exc:
             raise ObservableParseError(str(exc), lineno) from None
-        if width is None:
-            width = s.width
-        elif s.width != width:
+        except ValueError:
             raise ObservableParseError(
-                f"string width {s.width} differs from earlier width {width}",
-                lineno,
-            )
-        pairs.append((coeff, letters))
+                f"expected '<coefficient> <letters>', got {raw!r}", lineno
+            ) from None
+        checked.append((c, s))
+        width = s.width
     if width is None:
         raise ObservableParseError("no data lines found")
-    return observable_from_pairs(pairs, width)
+    return _normalized(width, checked)
 
 
 def serialize_observable(obs: Observable) -> str:

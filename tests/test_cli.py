@@ -98,6 +98,21 @@ class TestGenIsing:
 
     def test_random_requires_dimensions(self):
         assert run_cli("gen-ising", "--random") == 2
+        assert run_cli("gen-ising", "--random", "--nx", "2") == 2
+
+    def test_dimensions_go_only_with_random(self, tmp_path, capsys):
+        coeff_path = tmp_path / "spec.json"
+        spec = IsingSpec(
+            nx=1, ny=1, field_z=(1.0,), local_fields=((0.1, 0.2, 0.3),),
+            coupling=(), tensor_blocks=(),
+        )
+        coeff_path.write_text(spec.to_json())
+        for source in (("--builtin", "ising-1x2"), ("--coefficients", str(coeff_path))):
+            for sizes in (("--nx", "5", "--ny", "5"), ("--ny", "2")):
+                assert run_cli("gen-ising", *source, *sizes) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "only with it" in captured.err
 
     def test_bad_coefficient_file(self, tmp_path):
         bad = tmp_path / "bad.json"

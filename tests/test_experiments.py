@@ -28,7 +28,6 @@ from doubleshot.experiments import (
     double_usage_rows,
     fit_slope,
     read_csv,
-    read_json,
     reference_report,
     rep_seed,
     resolve_observable,
@@ -36,7 +35,6 @@ from doubleshot.experiments import (
     run_repetitions,
     trace_document,
     write_csv,
-    write_json,
 )
 from doubleshot.ledger import EstimateReport, PairReport, TallyLedger, TermReport
 from doubleshot.pauli import parse_observable
@@ -729,21 +727,3 @@ class TestReferenceReport:
         report = reference_report(obs, state, "state.txt")
         assert report["exact_mean"] == pytest.approx(1.0, abs=1e-12)
         assert report["ground_state_energy"] == pytest.approx(-3.0, abs=1e-9)
-
-    def test_json_round_trip(self, tmp_path):
-        obs = resolve_observable("builtin:toy-fig1")
-        state = ground_state(obs)
-        report = reference_report(obs, state)
-        path = tmp_path / "ref.json"
-        write_json(report, path)
-        again = read_json(path)
-        assert again["exact_mean"] == pytest.approx(report["exact_mean"])
-        assert again["num_terms"] == 5
-        assert [t["string"] for t in again["terms"]] == [
-            t["string"] for t in report["terms"]
-        ]
-
-    def test_json_handles_nan(self, tmp_path):
-        path = tmp_path / "nan.json"
-        write_json({"value": math.nan}, path)
-        assert math.isnan(read_json(path)["value"])

@@ -1,6 +1,7 @@
 """Pauli strings, commutation, observable parsing, and group covers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleshot.errors import InvalidInputError, ObservableParseError
+from doubleshot.hamiltonians import IsingSpec
 from doubleshot.pauli import (
     Observable,
     PauliString,
@@ -207,6 +209,54 @@ class TestObservableInvariants:
     def test_width_must_be_a_positive_integer(self, width):
         with pytest.raises(InvalidInputError, match="width"):
             Observable(width=width, terms=())
+        with pytest.raises(InvalidInputError, match="width"):
+            observable_from_pairs([(1.0, "X")], width=width)
+
+
+# Each reads one real number through a public input path, and returns the
+# float the built object stores for it.
+REAL_INPUTS = {
+    "coefficient": lambda c: Observable(
+        width=1, terms=(PauliTerm(c, PauliString("Z")),)
+    ).terms[0].coefficient,
+    "identity_offset": lambda c: Observable(
+        width=1, terms=(), identity_offset=c
+    ).identity_offset,
+    "pair": lambda c: observable_from_pairs([(0.5, "X"), (c, "Z")]).terms[1].coefficient,
+    "identity_pair": lambda c: observable_from_pairs([(c, "I"), (0.5, "X")]).identity_offset,
+    "ising_spec": lambda c: IsingSpec(
+        nx=1, ny=1, field_z=(c,), local_fields=((0.1, 0.2, 0.3),),
+        coupling=(), tensor_blocks=(),
+    ).field_z[0],
+}
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize(
+        "value",
+        [True, "1", None, 1 + 0j, math.nan, math.inf, pytest.param(10**400, id="10**400")],
+    )
+    @pytest.mark.parametrize("read", REAL_INPUTS.values(), ids=REAL_INPUTS)
+    def test_refused(self, read, value):
+        with pytest.raises(InvalidInputError):
+            read(value)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.5)], ids=repr)
+    @pytest.mark.parametrize("read", REAL_INPUTS.values(), ids=REAL_INPUTS)
+    def test_accepted_as_float(self, read, value):
+        got = read(value)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("text", ["True", "None", "1+0j", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("letters", ["Z", "I"])
+    def test_text_refusal_names_the_line(self, text, letters):
+        with pytest.raises(ObservableParseError) as err:
+            parse_observable(f"# header\n0.5 X\n{text} {letters}\n")
+        assert err.value.line_number == 3
+
+    def test_accepted_input_serializes_as_floats(self):
+        obs = observable_from_pairs([(np.float32(0.5), "X"), (2, "Z"), (np.int64(1), "I")])
+        assert serialize_observable(obs) == "1.0 I\n0.5 X\n2.0 Z\n"
 
 
 TOY_TEXT = "1.0 IX\n1.0 XI\n1.0 XX\n1.0 YY\n1.0 ZZ"
