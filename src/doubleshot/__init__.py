@@ -12,7 +12,6 @@ and its claimed variance, including commuting-pair covariance corrections.
 from .allocator import (
     AllocationConfig,
     AllocationResult,
-    MeasurementAction,
     TraceRow,
     choose_action,
     run_allocation,
@@ -93,7 +92,6 @@ __all__ = [
     "GroupCover",
     "InvalidInputError",
     "IsingSpec",
-    "MeasurementAction",
     "MomentEngine",
     "NumericalError",
     "Observable",

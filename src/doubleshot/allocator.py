@@ -62,23 +62,6 @@ from .simulator import (
 
 
 @dataclass(frozen=True)
-class MeasurementAction:
-    """One executable choice: measure a cover group once, or one double shot."""
-
-    kind: str
-    group: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "group":
-            _require_integer("group", self.group, 0)
-        elif self.kind == "double":
-            if self.group is not None:
-                raise InvalidInputError("double action takes no group index")
-        else:
-            raise InvalidInputError(f"unknown action kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class AllocationConfig:
     budget: int
     enable_double: bool = True
@@ -190,28 +173,27 @@ def _double_pair_rows(pairs, pmom):
 
 
 def virtual_update(
-    ledger: TallyLedger,
-    action: MeasurementAction,
-    cover: GroupCover,
-    engine: MomentEngine,
+    ledger: TallyLedger, candidate: int, cover: GroupCover
 ) -> TallyLedger:
     """Reference hypothetical-ledger builder; the input ledger is untouched.
 
-    Counters are not advanced: the hypothetical ledger only serves variance
-    prediction, and its fractional counts do not satisfy the integer-count
-    identities that validate() checks on real ledgers.  A group index
-    outside the cover is refused.
+    candidate is a group's index, or cover.num_groups for the double shot,
+    as in the run loop; anything else is refused.  Counters are not
+    advanced: the hypothetical ledger only serves variance prediction, and
+    its fractional counts do not satisfy the integer-count identities that
+    validate() checks on real ledgers.  Moments come from DEFAULT_CONFIG.
     """
-    if action.kind == "group" and action.group >= cover.num_groups:
+    _require_integer("candidate", candidate, 0)
+    if candidate > cover.num_groups:
         raise InvalidInputError(
-            f"group {action.group} outside the cover's {cover.num_groups} groups"
+            f"candidate {candidate} outside 0..{cover.num_groups} for this cover"
         )
-    smom = engine.single_block(ledger.singles)
-    pmom = engine.pair_block(ledger.pairs)
+    smom = DEFAULT_CONFIG.single_block(ledger.singles)
+    pmom = DEFAULT_CONFIG.pair_block(ledger.pairs)
     out = ledger.copy()
     singles, pairs = ledger.singles, ledger.pairs
-    if action.kind == "group":
-        terms, both, iside, jside = _partition(ledger, cover.groups[action.group])
+    if candidate < cover.num_groups:
+        terms, both, iside, jside = _partition(ledger, cover.groups[candidate])
         out.singles[terms] = _group_single_rows(singles[terms], smom[terms])
         out.pairs[both] = _both_pair_rows(pairs[both], pmom[both])
         out.pairs[iside] = _iside_pair_rows(
@@ -240,12 +222,13 @@ def choose_action(
     obs: Observable,
     cover: GroupCover,
     config: AllocationConfig,
-) -> MeasurementAction:
+) -> int:
     """Reference chooser: rebuild every hypothetical ledger and estimate it.
 
-    Ties resolve to the first candidate in order (groups by index, double
-    last), so equal predictions prefer the cheaper action.  Moments come
-    from DEFAULT_CONFIG.
+    Returns the run loop's candidate index: a group's, or cover.num_groups
+    for the double shot.  Ties resolve to the first candidate in order, so
+    equal predictions prefer the cheaper action.  Moments come from
+    DEFAULT_CONFIG.
     """
     remaining = config.budget - ledger.effective_shots
     if remaining < 1:
@@ -253,18 +236,12 @@ def choose_action(
     if cover.num_groups == 0:
         raise InvalidInputError("no measurable groups")
     _check_cover(obs, cover)
-    actions = [
-        MeasurementAction(kind="group", group=g) for g in range(cover.num_groups)
+    candidates = range(cover.num_groups + (config.enable_double and remaining >= 2))
+    predicted = [
+        estimate(virtual_update(ledger, c, cover), obs, DEFAULT_CONFIG).variance
+        for c in candidates
     ]
-    if config.enable_double and remaining >= 2:
-        actions.append(MeasurementAction(kind="double"))
-    best, best_var = None, None
-    for action in actions:
-        hypo = virtual_update(ledger, action, cover, DEFAULT_CONFIG)
-        var = estimate(hypo, obs, DEFAULT_CONFIG).variance
-        if best_var is None or var < best_var:
-            best, best_var = action, var
-    return best
+    return predicted.index(min(predicted))
 
 
 class _FastLoop:
@@ -576,9 +553,14 @@ def run_allocations(
     re-evaluation phase is one engine call holding the rows of every live
     run, and a run leaves the cohort when its budget is spent.  Each run
     keeps its own ledger, rng and trace, and gets the same bits as alone.
-    One engine serves every run of the call.  The cover, and each config's
-    max_qubits against the state's width, are checked before any shot.
+    One engine serves every run of the call.  The observable's width
+    against the state's, the cover, and each config's max_qubits against
+    the state's width are checked before any engine call or shot.
     """
+    if obs.width != state.width:
+        raise InvalidInputError(
+            f"observable width {obs.width} does not match state width {state.width}"
+        )
     _check_cover(obs, cover)
     for config in configs:
         _check_cap(state.width, config.max_qubits)

@@ -398,20 +398,6 @@ def calibrate_rows(spec: ExperimentSpec) -> CsvDocument:
     )
 
 
-def fit_slope(
-    m_values: np.ndarray, m_double_values: np.ndarray
-) -> tuple[float, float]:
-    """Least-squares line m_double ~ slope * m + intercept."""
-    if m_values.size < 2:
-        raise InvalidInputError("need at least 2 points for a slope fit")
-    slope, intercept = np.polyfit(
-        np.asarray(m_values, dtype=float),
-        np.asarray(m_double_values, dtype=float),
-        1,
-    )
-    return float(slope), float(intercept)
-
-
 def double_usage_rows(
     spec: ExperimentSpec,
     fit_min: int = 20,
@@ -437,7 +423,7 @@ def double_usage_rows(
     window_top = common_m if fit_max is None else min(fit_max, common_m)
     window = (m_values > fit_min) & (m_values <= window_top)
     if window.sum() >= 2:
-        slope, intercept = fit_slope(m_values[window], md_mean[window])
+        slope, intercept = map(float, np.polyfit(m_values[window], md_mean[window], 1))
     else:
         slope, intercept = math.nan, math.nan
     rows = tuple(

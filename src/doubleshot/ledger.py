@@ -95,20 +95,21 @@ class TallyLedger:
         Each measured term adds one count to its single cell, and each pair
         with a measured end adds one to the cell _PAIR_CELLS gives for the
         codes of its two ends.  An index that is not an integer (a bool is
-        not one) or lies outside the terms, or a value other than +1 or -1,
-        is refused before any count moves.
+        not one) or lies outside the terms, or a value that is not an
+        integer equal to +1 or -1, is refused before any count moves.
         """
         kind = _KINDS.get(outcome.kind)
         if kind is None:
             raise InvalidInputError(f"unknown outcome kind {outcome.kind!r}")
         values, p = outcome.values, self.num_terms
-        # each key type checked once; a bool is an int but not a term index
-        types = set(map(type, values))
+        # each key and value type checked once; a bool is an int but neither
+        # a term index nor an outcome
+        types = {*map(type, values), *map(type, values.values())}
         if bool in types or not all(issubclass(t, _INTEGRAL) for t in types):
-            bad = next(
-                i for i in values if type(i) is bool or not isinstance(i, _INTEGRAL)
-            )
-            raise InvalidInputError(f"outcome term index {bad!r} is not an integer")
+            for what, items in (("term index", values), ("value", values.values())):
+                for x in items:
+                    if type(x) is bool or not isinstance(x, _INTEGRAL):
+                        raise InvalidInputError(f"outcome {what} {x!r} is not an integer")
         if values and (min(values) < 0 or max(values) >= p):
             bad = next(i for i in values if not 0 <= i < p)
             raise InvalidInputError(f"outcome term index {bad} outside 0..{p - 1}")

@@ -42,6 +42,10 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
+        if not isinstance(self.letters, str):
+            raise InvalidInputError(
+                f"Pauli letters must be a str, got {self.letters!r}"
+            )
         if not self.letters:
             raise InvalidInputError("empty Pauli string")
         bad = sorted(set(self.letters) - set(PAULI_LETTERS))
@@ -106,6 +110,10 @@ class Observable:
         seen = set()
         terms = []
         for t in self.terms:
+            if not (isinstance(t, PauliTerm) and isinstance(t.string, PauliString)):
+                raise InvalidInputError(
+                    f"a term must be a PauliTerm of a PauliString, got {t!r}"
+                )
             letters = t.string.letters
             if t.string.width != self.width:
                 raise InvalidInputError(

@@ -14,7 +14,6 @@ from doubleshot.allocator import (
     _REAL,
     _TERM_DOUBLE,
     AllocationConfig,
-    MeasurementAction,
     _FastLoop,
     choose_action,
     cohort_size,
@@ -50,32 +49,24 @@ def single_problem():
     return obs, build_group_cover(obs), ground_state(obs)
 
 
-class TestMeasurementAction:
-    def test_group_requires_index(self):
-        with pytest.raises(InvalidInputError):
-            MeasurementAction(kind="group")
-        with pytest.raises(InvalidInputError):
-            MeasurementAction(kind="group", group=-1)
+class TestCandidateIndex:
+    # single_problem's cover has one group: candidate 0 is that group's
+    # shot, 1 the double shot, and 2 is past the last candidate
+    @pytest.mark.parametrize(
+        "candidate", [-1, True, 1.5, "1", np.float64(1.0), None, 2],
+        ids=["negative", "bool", "float", "str", "numpy-float", "none", "past-double"],
+    )
+    def test_virtual_update_refuses_bad_candidates(self, candidate):
+        obs, cover, _ = single_problem()
+        assert cover.num_groups == 1
+        with pytest.raises(InvalidInputError, match="candidate"):
+            virtual_update(TallyLedger(obs), candidate, cover)
 
-    @pytest.mark.parametrize("group", [True, 1.5, "1", np.float64(1.0)])
-    def test_group_index_must_be_an_integer(self, group):
-        with pytest.raises(InvalidInputError):
-            MeasurementAction(kind="group", group=group)
-
-    def test_virtual_update_refuses_group_outside_cover(self):
-        obs = load_builtin("ising-1x2")
-        cover = build_group_cover(obs)
-        action = MeasurementAction(kind="group", group=cover.num_groups)
-        with pytest.raises(InvalidInputError):
-            virtual_update(TallyLedger(obs), action, cover, DEFAULT_CONFIG)
-
-    def test_double_takes_no_index(self):
-        with pytest.raises(InvalidInputError):
-            MeasurementAction(kind="double", group=0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            MeasurementAction(kind="triple")
+    def test_virtual_update_takes_numpy_integers(self):
+        obs, cover, _ = single_problem()
+        led = TallyLedger(obs)
+        hypo = virtual_update(led, np.int64(0), cover)
+        assert np.array_equal(hypo.singles, virtual_update(led, 0, cover).singles)
 
 
 class TestAllocationConfig:
@@ -134,14 +125,11 @@ class TestAllocationConfig:
 class TestVirtualUpdate:
     def test_group_splits_single_counts_by_posterior_mean(self):
         obs, cover, _ = single_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
         led.record(ShotOutcome(kind="group", values={0: 1}))
         # One head on a flat prior: posterior mean 2/3, so the virtual shot
         # adds (2/3, 1/3) on top of the existing (1, 0).
-        hypo = virtual_update(
-            led, MeasurementAction(kind="group", group=0), cover, engine
-        )
+        hypo = virtual_update(led, 0, cover)
         assert hypo.singles[0, 0] == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
         assert hypo.singles[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert hypo.singles[0, 2] == 0.0
@@ -149,13 +137,10 @@ class TestVirtualUpdate:
 
     def test_double_splits_half_phi(self):
         obs, cover, _ = single_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
         # Flat prior: E[phi] = 2/3, and the double action books half an
         # expectation-valued shot, so d gains (1/2)(2/3, 1/3) = (1/3, 1/6).
-        hypo = virtual_update(
-            led, MeasurementAction(kind="double"), cover, engine
-        )
+        hypo = virtual_update(led, cover.num_groups, cover)
         assert hypo.singles[0, 2] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert hypo.singles[0, 3] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert hypo.singles[0, 2] + hypo.singles[0, 3] == pytest.approx(
@@ -164,15 +149,12 @@ class TestVirtualUpdate:
 
     def test_group_splits_joint_cells(self):
         obs, cover, _ = toy_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
         group_idx = next(
             g for g, members in enumerate(cover.groups)
             if set(members) == {2, 3, 4}
         )
-        hypo = virtual_update(
-            led, MeasurementAction(kind="group", group=group_idx), cover, engine
-        )
+        hypo = virtual_update(led, group_idx, cover)
         # Flat factorized pair posterior: every joint cell mean is 1/4.
         row = dict(zip(hypo.pair_keys, hypo.pairs))
         for i, j in [(2, 3), (2, 4), (3, 4)]:
@@ -188,11 +170,8 @@ class TestVirtualUpdate:
 
     def test_double_splits_joint_phi_cells(self):
         obs, cover, _ = toy_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
-        hypo = virtual_update(
-            led, MeasurementAction(kind="double"), cover, engine
-        )
+        hypo = virtual_update(led, cover.num_groups, cover)
         # Flat factorized pair: joint phi means are the products of the
         # marginal phi means (2/3 each), halved for the two-shot cost.
         expected = 0.5 * np.array([4.0, 2.0, 2.0, 1.0]) / 9.0
@@ -202,16 +181,12 @@ class TestVirtualUpdate:
 
     def test_snapshot_isolation(self):
         obs, cover, _ = toy_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
         led.record(ShotOutcome(kind="group", values={0: 1, 1: -1}))
         singles_before = led.singles.copy()
         pairs_before = led.pairs.copy()
-        for action in [
-            MeasurementAction(kind="group", group=0),
-            MeasurementAction(kind="double"),
-        ]:
-            hypo = virtual_update(led, action, cover, engine)
+        for candidate in [0, cover.num_groups]:
+            hypo = virtual_update(led, candidate, cover)
             assert hypo is not led
             assert np.array_equal(led.singles, singles_before)
             assert np.array_equal(led.pairs, pairs_before)
@@ -221,11 +196,8 @@ class TestVirtualUpdate:
         # Hypothetical ledgers hold fractional counts and are only used for
         # variance prediction; their counters mirror the snapshot.
         obs, cover, _ = single_problem()
-        engine = MomentEngine()
         led = TallyLedger(obs)
-        hypo = virtual_update(
-            led, MeasurementAction(kind="double"), cover, engine
-        )
+        hypo = virtual_update(led, cover.num_groups, cover)
         assert hypo.shots_taken == 0
         assert hypo.double_shots == 0
 
@@ -269,14 +241,12 @@ class TestChooseAction:
     def test_single_term_without_double_returns_singleton_group(self):
         obs, cover, _ = single_problem()
         config = AllocationConfig(budget=10, enable_double=False)
-        action = choose_action(TallyLedger(obs), obs, cover, config)
-        assert action == MeasurementAction(kind="group", group=0)
+        assert choose_action(TallyLedger(obs), obs, cover, config) == 0
 
     def test_remaining_budget_one_excludes_double(self):
         obs, cover, _ = single_problem()
         config = AllocationConfig(budget=1)
-        action = choose_action(TallyLedger(obs), obs, cover, config)
-        assert action.kind == "group"
+        assert choose_action(TallyLedger(obs), obs, cover, config) < cover.num_groups
 
     def test_no_budget_remaining_rejected(self):
         obs, cover, _ = single_problem()
@@ -311,15 +281,11 @@ class TestChooseAction:
             led.record(sample_group_shot(state, obs, cover.groups[0], rng))
         config = AllocationConfig(budget=100)
         chosen = choose_action(led, obs, cover, config)
-        candidates = [
-            MeasurementAction(kind="group", group=g)
-            for g in range(cover.num_groups)
-        ] + [MeasurementAction(kind="double")]
         variances = [
-            estimate(virtual_update(led, a, cover, engine), obs, engine).variance
-            for a in candidates
+            estimate(virtual_update(led, c, cover), obs, engine).variance
+            for c in range(cover.num_groups + 1)
         ]
-        assert chosen == candidates[int(np.argmin(variances))]
+        assert chosen == int(np.argmin(variances))
 
 
 class TestInformationNeverHurts:
@@ -340,9 +306,7 @@ class TestInformationNeverHurts:
         led.shots_taken = s_plus + s_minus + d_plus + d_minus
         led.double_shots = d_plus + d_minus
         current = estimate(led, obs, engine).variance
-        hypo = virtual_update(
-            led, MeasurementAction(kind="group", group=0), cover, engine
-        )
+        hypo = virtual_update(led, 0, cover)
         predicted = estimate(hypo, obs, engine).variance
         assert predicted <= current + 1e-12
 
@@ -439,18 +403,17 @@ class TestRunAllocation:
         rng = np.random.default_rng(config.seed)
         led = TallyLedger(obs)
         for row in result.trace:
-            action = choose_action(led, obs, cover, config)
-            assert (action.kind, action.group) == (row.kind, row.group)
-            hypo = virtual_update(led, action, cover, engine)
+            candidate = choose_action(led, obs, cover, config)
+            double = row.kind == "double"
+            assert candidate == (cover.num_groups if double else row.group)
+            hypo = virtual_update(led, candidate, cover)
             assert estimate(hypo, obs, engine).variance == pytest.approx(
                 row.predicted_variance, rel=1e-12, abs=1e-15
             )
-            if action.kind == "group":
-                outcome = sample_group_shot(
-                    state, obs, cover.groups[action.group], rng
-                )
-            else:
+            if double:
                 outcome = sample_double_shot(state, obs, rng)
+            else:
+                outcome = sample_group_shot(state, obs, cover.groups[candidate], rng)
             led.record(outcome)
         assert np.array_equal(led.singles, result.ledger.singles)
         assert np.array_equal(led.pairs, result.ledger.pairs)
@@ -508,19 +471,14 @@ class TestRunAllocation:
         variance = loop.update(engine, live, np.array([cover.num_groups]))
         ledger = loop.ledgers[0]
         rng = np.random.default_rng(config.seed)
-        actions = [MeasurementAction(kind="group", group=g)
-                   for g in range(cover.num_groups)]
-        if enable_double:
-            actions.append(MeasurementAction(kind="double"))
+        candidates = range(cover.num_groups + enable_double)
         for step in script:
             want = [
-                estimate(
-                    virtual_update(ledger, a, cover, engine), obs, engine
-                ).variance
-                for a in actions
+                estimate(virtual_update(ledger, c, cover), obs, engine).variance
+                for c in candidates
             ]
             predicted = loop.predict(live, np.array([enable_double]))[0]
-            assert predicted[: len(actions)].tolist() == want
+            assert predicted[: len(candidates)].tolist() == want
             assert variance[0] == estimate(ledger, obs, engine).variance
             if step == "double":
                 candidate = cover.num_groups
@@ -534,7 +492,7 @@ class TestRunAllocation:
     def test_zero_term_observable_takes_no_shots(self):
         obs = parse_observable("0.5 II")
         cover = cover_for(obs)
-        state = ground_state(parse_observable("1.0 Z"))
+        state = ground_state(obs)
         result = run_allocation(obs, state, cover, AllocationConfig(budget=10))
         assert result.trace == ()
         assert result.ledger.effective_shots == 0
@@ -646,6 +604,23 @@ class TestRunAllocation:
         assert shots == []
         with pytest.raises(InvalidInputError):
             choose_action(TallyLedger(obs), obs, cover, config)
+
+    def test_width_mismatch_refused_before_any_engine_call(self, monkeypatch):
+        calls = []
+        for name in ("single_block", "pair_block"):
+            real = getattr(MomentEngine, name)
+
+            def counting(self, rows, _real=real):
+                calls.append(len(rows))
+                return _real(self, rows)
+
+            monkeypatch.setattr(MomentEngine, name, counting)
+        obs = load_builtin("ising-1x2")
+        state = ground_state(load_builtin("ising-2x2"))
+        config = AllocationConfig(budget=10, seed=0)
+        with pytest.raises(InvalidInputError, match="width"):
+            run_allocations(obs, state, cover_for(obs), [config])
+        assert calls == []
 
     def test_no_configs_give_no_runs(self):
         obs, cover, state = toy_problem()

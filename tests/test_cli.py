@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (mostly in-process)."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from doubleshot.pauli import parse_observable, serialize_observable
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 # What the installer's generated console-script wrapper does: import the
 # declared ``module:attr`` target, then ``sys.exit`` with its return value.
@@ -469,3 +472,30 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "usage: doubleshot" in proc.stdout
         assert "gen-ising" in proc.stdout
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``doubleshot`` line in README's bash blocks,
+    with backslash continuations joined and ``#`` comments stripped."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), flags=re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["doubleshot"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        parser = cli.build_parser()
+        commands = readme_commands()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: doubleshot {shlex.join(argv)}")
+        assert {argv[0] for argv in commands} == {
+            "gen-ising", "reference", "estimate", "curve", "calibrate", "double-usage"
+        }

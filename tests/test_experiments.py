@@ -26,7 +26,6 @@ from doubleshot.experiments import (
     cover_for,
     curve_rows,
     double_usage_rows,
-    fit_slope,
     read_csv,
     reference_report,
     rep_seed,
@@ -594,18 +593,6 @@ class TestCalibrateRows:
         assert doc.comment_value("flagged_rows") == "1"
         # Summary over the two unflagged rows only: mean (0 + 0.5)/2.
         assert float(doc.comment_value("summary_mean_z")) == pytest.approx(0.25)
-
-
-class TestFitSlope:
-    def test_exact_line(self):
-        m = np.array([1.0, 2.0, 3.0, 4.0])
-        slope, intercept = fit_slope(m, 0.25 * m + 1.0)
-        assert slope == pytest.approx(0.25)
-        assert intercept == pytest.approx(1.0)
-
-    def test_needs_two_points(self):
-        with pytest.raises(InvalidInputError):
-            fit_slope(np.array([1.0]), np.array([2.0]))
 
 
 class TestDoubleUsageRows:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from doubleshot.allocator import (
     AllocationConfig,
-    MeasurementAction,
     run_allocation,
     virtual_update,
 )
@@ -370,12 +369,14 @@ class TestRecordRefusesBadValues:
             group({True: 1}),
             double({0: 1, 1: -1, 2: 1, 3: -1, 4.0: 1}),
             double({False: 1, True: -1, 2: 1, 3: -1, 4: 1}),
+            group({0: True, 1: np.True_}),
+            group({0: 1.0, 1: np.float64(-1.0)}),
         ],
         ids=[
             "group-zero", "group-five", "group-half", "group-minus-two",
             "double-all-zero", "double-two", "group-index", "double-index",
             "group-float-index", "group-bool-index", "double-float-index",
-            "double-bool-index",
+            "double-bool-index", "group-bool-value", "group-float-value",
         ],
     )
     def test_refused_outcome_moves_no_count(self, outcome):
@@ -589,9 +590,9 @@ def _one_term_ledger():
     return obs, led
 
 
-def _one_term_virtual(action):
+def _one_term_virtual(candidate):
     obs, led = _one_term_ledger()
-    hypo = virtual_update(led, action, build_group_cover(obs), DEFAULT_CONFIG)
+    hypo = virtual_update(led, candidate, build_group_cover(obs))
     return hypo.singles.shape, hypo.pairs.shape
 
 
@@ -612,11 +613,11 @@ def _half_identity_run():
         ),
         (lambda: _one_term_ledger()[1].validate(), None),
         (
-            lambda: _one_term_virtual(MeasurementAction(kind="group", group=0)),
+            lambda: _one_term_virtual(0),
             ((1, 4), (0, 12)),
         ),
         (
-            lambda: _one_term_virtual(MeasurementAction(kind="double")),
+            lambda: _one_term_virtual(1),
             ((1, 4), (0, 12)),
         ),
         (

@@ -76,6 +76,11 @@ class TestPauliString:
             PauliString("XQ")
         with pytest.raises(InvalidInputError):
             PauliString("")
+        for letters in (5, ["X", "Z"], None):
+            with pytest.raises(InvalidInputError, match="must be a str"):
+                PauliString(letters)
+        with pytest.raises(InvalidInputError, match="must be a str"):
+            observable_from_pairs([(1.0, ["X", "Z"])])
 
 
 class TestCommutes:
@@ -200,6 +205,14 @@ class TestObservableInvariants:
                     PauliTerm(2.0, PauliString("X")),
                 ),
             )
+
+    @pytest.mark.parametrize(
+        "term", [PauliTerm(1.0, "X"), "X", (1.0, PauliString("X"))],
+        ids=["str-string", "str", "tuple"],
+    )
+    def test_terms_must_be_pauli_terms(self, term):
+        with pytest.raises(InvalidInputError, match="PauliTerm"):
+            Observable(width=1, terms=(term,))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
